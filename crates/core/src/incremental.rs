@@ -2,31 +2,48 @@
 //!
 //! Mirrors `tp_sta::IncrementalSta`: when a few pins move, the full model
 //! does not need to re-run — only the *dirty cone* does. The engine caches
-//! every intermediate of one full forward pass (net-embedding layers, the
-//! init projection, per-level propagation blocks, head outputs) and, on an
-//! edit, re-computes exactly the rows whose inputs changed, expanding the
-//! dirty frontier level by level and stopping wherever recomputed bits
-//! equal the cached bits.
+//! the intermediates of one full forward pass (net-embedding layers and
+//! their sink updates, the init projection, per-level propagation blocks,
+//! head outputs) and, on an edit, recomputes exactly the rows whose inputs
+//! changed, expanding the dirty frontier level by level and stopping
+//! wherever recomputed bits equal the cached bits.
+//!
+//! # One set of kernels
+//!
+//! The engine does no arithmetic of its own. Every row it writes comes
+//! from a kernel the full forward pass runs, called on fewer rows:
+//!
+//! - net embedding: [`NetConv`](crate::NetConv)'s sink-update and
+//!   driver-update kernels, on the in-edges of the candidate sinks and the
+//!   out-edges of the candidate drivers;
+//! - propagation: [`Propagation::compute_level`](crate::Propagation) on
+//!   [`LevelPlan::restrict`](crate::LevelPlan::restrict), the
+//!   level's plan cut down to its dirty rows;
+//! - the init projection and the three heads, on gathered rows.
 //!
 //! # Bit-identity contract
 //!
 //! Incremental results are **bit-identical** to a full
-//! [`TimingGnn::forward`] over the edited design. This holds because every
-//! kernel the model uses is row-decomposable with a fixed fold order:
+//! [`TimingGnn::forward`] over the edited design, because those kernels
+//! decompose by destination row:
 //!
 //! - `gemm` computes each output row with a serial fixed-order k-loop, so
-//!   an MLP applied to a gathered subset of rows reproduces exactly the
-//!   rows of the full batch;
-//! - `segment_sum` accumulates contributions in ascending row order, and
-//!   the propagation plan emits every destination's edges in ascending
-//!   `(source level, edge id)` order — so re-folding one destination's
-//!   messages in that order replays the very same f32 additions;
-//! - `segment_max` is a `v > cur` fold from `-inf` (empty segments become
-//!   `0.0`), replicated verbatim;
-//! - the sink/driver merge in `NetConv` multiplies by 0/1 masks; MLP
-//!   outputs never produce `-0.0` (sums of products starting from `+0.0`
-//!   cannot round to `-0.0`), so the masked merge equals row selection
-//!   bit-for-bit. The unit tests pin this down on real designs.
+//!   an MLP over a subset of rows reproduces exactly those rows;
+//! - `scatter_rows`, `segment_sum` and `segment_max` fold each
+//!   destination's rows in input order, so they reproduce a destination
+//!   whenever it sees the same edges in the same order. The engine lists
+//!   each candidate pin's net edges in ascending id (the full pass's
+//!   order), and `restrict` keeps the plan's per-destination
+//!   `(source level, edge id)` order.
+//!
+//! The sink/driver merge is the one step the engine does as row
+//! selection: kernel outputs never produce `-0.0` (sums starting from
+//! `+0.0` cannot round to it), so the full pass's 0/1 mask merge equals
+//! row selection bit for bit. The unit tests pin all of this down on real
+//! designs.
+//!
+//! Every cached tensor is built and updated inside [`tp_tensor::no_grad`],
+//! so none of them pins an autograd tape.
 //!
 //! Dirty-set expansion is conservative (a recomputed-but-unchanged row
 //! simply converges the frontier), and bitwise comparison — `f32::to_bits`,
@@ -36,12 +53,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use tp_data::{DesignGraph, PinMove, PIN_FEATURES};
+use tp_data::{DesignGraph, PinMove};
 use tp_graph::GraphError;
 use tp_place::Placement;
 use tp_tensor::Tensor;
 
-use crate::{LutModule, Prediction, PropPlan, TimingGnn};
+use crate::{Prediction, PropPlan, TimingGnn};
 
 /// Work accounting for one [`IncrementalGnn::apply_moves`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,7 +90,7 @@ impl UpdateStats {
 /// A per-design incremental re-prediction engine.
 ///
 /// Owns the design, its placement and every forward-pass intermediate.
-/// Construction runs one full (traced) forward; afterwards
+/// Construction runs one full forward; afterwards
 /// [`apply_moves`](Self::apply_moves) answers ECO edits by recomputing
 /// only the affected cone and [`prediction`](Self::prediction) returns
 /// outputs bit-identical to a full re-run.
@@ -89,61 +106,67 @@ pub struct IncrementalGnn {
     net_in: Vec<Vec<usize>>,
     /// Net edges leaving each pin (it is the driver), ascending edge id.
     net_out: Vec<Vec<usize>>,
-    /// Per level, per row: incoming net edges as `(src_level, src_row,
-    /// eid)` in the plan's group order (ascending src level, then eid).
-    lvl_net_in: Vec<Vec<Vec<(usize, usize, usize)>>>,
-    /// Same for cell edges.
-    lvl_cell_in: Vec<Vec<Vec<(usize, usize, usize)>>>,
-    /// Per level, per row: whether the row receives cell arcs.
-    cell_fed: Vec<Vec<bool>>,
-    /// Per level, per row: downstream net-edge destinations.
-    prop_net_out: Vec<Vec<Vec<(usize, usize)>>>,
-    /// Per level, per row: downstream cell-edge destinations plus eid.
-    prop_cell_out: Vec<Vec<Vec<(usize, usize, usize)>>>,
+    /// Cell arcs leaving each pin.
+    cell_out: Vec<Vec<usize>>,
     /// eid -> row within `plan.cell_edge_order`.
     cell_order_pos: Vec<usize>,
-    /// Net-embedding layer outputs `h₁..h₃`, each `[N × embed_dim]`.
-    embed_h: Vec<Vec<f32>>,
+    /// Net-embedding layer outputs `h₁..h₃`, each `[N × embed_dim]`
+    /// (none under the `no_net_embedding` ablation).
+    embed_h: Vec<Tensor>,
     /// Pre-mask sink updates per layer, `[N × embed_dim]`.
-    embed_su: Vec<Vec<f32>>,
-    /// Final embedding (zeros under the `no_net_embedding` ablation).
-    embedding: Vec<f32>,
+    embed_su: Vec<Tensor>,
+    /// The propagation stage's embedding input: `h₃` itself (same
+    /// storage), or zeros under the `no_net_embedding` ablation.
+    embedding: Tensor,
     /// Init projection `[N × prop_dim]`.
-    x0: Vec<f32>,
-    /// Per-level state blocks.
-    blocks: Vec<Vec<f32>>,
+    x0: Tensor,
+    /// Per-level state blocks, all resident.
+    blocks: Vec<Option<Tensor>>,
     /// Arrival‖slew head output `[N × 8]`.
-    atslew: Vec<f32>,
+    atslew: Tensor,
     /// Net-delay head output `[N × 4]`.
-    net_delay: Vec<f32>,
+    net_delay: Tensor,
     /// Cell-delay head output `[E꜀ × 4]`, rows in `cell_edge_order`.
-    cell_delay: Vec<f32>,
-    embed_dim: usize,
-    prop_dim: usize,
+    cell_delay: Tensor,
 }
 
-/// Builds a `[rows.len(), dim]` tensor from selected rows of a flat cache.
-fn gather_flat(flat: &[f32], dim: usize, rows: &[usize]) -> Tensor {
-    let mut data = Vec::with_capacity(rows.len() * dim);
-    for &r in rows {
-        data.extend_from_slice(&flat[r * dim..(r + 1) * dim]);
+/// `v[i]` for every `i` in `idx`.
+fn pick(v: &[usize], idx: &[usize]) -> Vec<usize> {
+    idx.iter().map(|&i| v[i]).collect()
+}
+
+/// The edges `adj` lists for `pins`, pin by pin, with the position of each
+/// edge's pin in `pins` — the destination rows of a per-pin fold.
+fn edges_of(pins: &[usize], adj: &[Vec<usize>]) -> (Vec<usize>, Vec<usize>) {
+    let mut edges = Vec::new();
+    let mut rows = Vec::new();
+    for (i, &p) in pins.iter().enumerate() {
+        edges.extend_from_slice(&adj[p]);
+        rows.resize(edges.len(), i);
     }
-    Tensor::from_vec(data, &[rows.len(), dim]).expect("consistent row width")
+    (edges, rows)
 }
 
-/// Writes `vals` over row `r` of `flat`; returns whether any bit changed.
-fn write_row(flat: &mut [f32], dim: usize, r: usize, vals: &[f32]) -> bool {
-    let row = &mut flat[r * dim..(r + 1) * dim];
-    let changed = row
-        .iter()
-        .zip(vals)
-        .any(|(a, b)| a.to_bits() != b.to_bits());
-    row.copy_from_slice(vals);
+/// Overwrites row `rows[i]` of `cache` with row `i` of `fresh`; returns the
+/// rows whose bits changed, in `rows` order.
+fn write_rows(cache: &Tensor, rows: &[usize], fresh: &Tensor) -> Vec<usize> {
+    let d = fresh.shape()[1];
+    let src = fresh.data();
+    let mut dst = cache.data_mut();
+    let mut changed = Vec::new();
+    for (i, &r) in rows.iter().enumerate() {
+        let new = &src[i * d..(i + 1) * d];
+        let old = &mut dst[r * d..(r + 1) * d];
+        if old.iter().zip(new).any(|(a, b)| a.to_bits() != b.to_bits()) {
+            old.copy_from_slice(new);
+            changed.push(r);
+        }
+    }
     changed
 }
 
 impl IncrementalGnn {
-    /// Runs one full traced forward pass and caches every intermediate.
+    /// Runs one full forward pass and caches every intermediate.
     ///
     /// `design` and `placement` must describe the same circuit (the same
     /// pin arena); the engine takes ownership so the caches can never
@@ -163,98 +186,41 @@ impl IncrementalGnn {
         plan: PropPlan,
     ) -> IncrementalGnn {
         let n = design.num_pins;
-        let embed_dim = model.config().embed_dim;
-        let prop_dim = model.config().prop_dim;
-
-        let (pred, etrace, ptrace) = model.forward_traced(&design, &plan);
-
         let mut coord = vec![(usize::MAX, usize::MAX); n];
         for (l, pins) in design.levels.iter().enumerate() {
             for (r, &p) in pins.iter().enumerate() {
                 coord[p] = (l, r);
             }
         }
-
         let mut net_in: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut net_out: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (eid, (&s, &d)) in design.net_src.iter().zip(&design.net_dst).enumerate() {
             net_out[s].push(eid);
             net_in[d].push(eid);
         }
-
-        let mut lvl_net_in: Vec<Vec<Vec<(usize, usize, usize)>>> = plan
-            .levels
-            .iter()
-            .map(|lp| vec![Vec::new(); lp.pins.len()])
-            .collect();
-        let mut lvl_cell_in = lvl_net_in.clone();
-        let mut cell_fed: Vec<Vec<bool>> = plan
-            .levels
-            .iter()
-            .map(|lp| vec![false; lp.pins.len()])
-            .collect();
-        let mut prop_net_out: Vec<Vec<Vec<(usize, usize)>>> = plan
-            .levels
-            .iter()
-            .map(|lp| vec![Vec::new(); lp.pins.len()])
-            .collect();
-        let mut prop_cell_out: Vec<Vec<Vec<(usize, usize, usize)>>> = plan
-            .levels
-            .iter()
-            .map(|lp| vec![Vec::new(); lp.pins.len()])
-            .collect();
-        for (l, lp) in plan.levels.iter().enumerate() {
-            // Groups are stored ascending by source level and edges within
-            // a group ascend by id, so pushing in iteration order gives
-            // every destination its full-pass fold order.
-            for g in &lp.net_groups {
-                for i in 0..g.edge_ids.len() {
-                    lvl_net_in[l][g.dest_local[i]].push((g.src_level, g.src_rows[i], g.edge_ids[i]));
-                    prop_net_out[g.src_level][g.src_rows[i]].push((l, g.dest_local[i]));
-                }
-            }
-            for g in &lp.cell_groups {
-                for i in 0..g.edge_ids.len() {
-                    lvl_cell_in[l][g.dest_local[i]]
-                        .push((g.src_level, g.src_rows[i], g.edge_ids[i]));
-                    prop_cell_out[g.src_level][g.src_rows[i]]
-                        .push((l, g.dest_local[i], g.edge_ids[i]));
-                }
-            }
-            for &r in &lp.cell_fed_local {
-                cell_fed[l][r] = true;
-            }
+        let mut cell_out: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (eid, &s) in design.cell_src.iter().enumerate() {
+            cell_out[s].push(eid);
         }
         let mut cell_order_pos = vec![usize::MAX; design.num_cell_edges()];
         for (pos, &eid) in plan.cell_edge_order.iter().enumerate() {
             cell_order_pos[eid] = pos;
         }
 
-        let embed_h: Vec<Vec<f32>> = etrace.layer_outputs.iter().map(Tensor::to_vec).collect();
-        let embed_su: Vec<Vec<f32>> = etrace.sink_updates.iter().map(Tensor::to_vec).collect();
-        let embedding = if model.config().ablation.no_net_embedding {
-            vec![0.0; n * embed_dim]
-        } else {
-            embed_h[2].clone()
-        };
-
-        let arrival = pred.arrival.to_vec();
-        let slew = pred.slew.to_vec();
-        let mut atslew = vec![0.0f32; n * 8];
-        for i in 0..n {
-            atslew[i * 8..i * 8 + 4].copy_from_slice(&arrival[i * 4..(i + 1) * 4]);
-            atslew[i * 8 + 4..i * 8 + 8].copy_from_slice(&slew[i * 4..(i + 1) * 4]);
-        }
+        let (mut embed_h, mut embed_su) = (Vec::new(), Vec::new());
+        let (embedding, net_delay, out, trace) = tp_tensor::no_grad(|| {
+            let embedding = model.embedding(&design, |h, su| {
+                embed_h.push(h.clone());
+                embed_su.push(su.clone());
+            });
+            let net_delay = model.net_embed().net_delay(&embedding);
+            let (out, trace) = model
+                .propagation()
+                .forward_traced(&design, &plan, &embedding);
+            (embedding, net_delay, out, trace)
+        });
 
         IncrementalGnn {
-            embedding,
-            x0: ptrace.x0.to_vec(),
-            blocks: ptrace.blocks.iter().map(Tensor::to_vec).collect(),
-            atslew,
-            net_delay: pred.net_delay.to_vec(),
-            cell_delay: pred.cell_delay.to_vec(),
-            embed_h,
-            embed_su,
             model,
             design,
             placement,
@@ -262,14 +228,16 @@ impl IncrementalGnn {
             coord,
             net_in,
             net_out,
-            lvl_net_in,
-            lvl_cell_in,
-            cell_fed,
-            prop_net_out,
-            prop_cell_out,
+            cell_out,
             cell_order_pos,
-            embed_dim,
-            prop_dim,
+            embed_h,
+            embed_su,
+            embedding,
+            x0: trace.x0,
+            blocks: trace.blocks,
+            atslew: out.atslew,
+            net_delay,
+            cell_delay: out.cell_delay,
         }
     }
 
@@ -295,26 +263,14 @@ impl IncrementalGnn {
     }
 
     /// Current model outputs, bit-identical to
-    /// `model.forward(design, plan)` over the edited design.
+    /// `model.forward(design, plan)` over the edited design. The returned
+    /// tensors are copies: later edits do not change them.
     pub fn prediction(&self) -> Prediction {
-        let n = self.design.num_pins;
-        let mut arrival = Vec::with_capacity(n * 4);
-        let mut slew = Vec::with_capacity(n * 4);
-        for i in 0..n {
-            arrival.extend_from_slice(&self.atslew[i * 8..i * 8 + 4]);
-            slew.extend_from_slice(&self.atslew[i * 8 + 4..i * 8 + 8]);
-        }
-        let cell_delay = if self.cell_delay.is_empty() {
-            Tensor::zeros(&[0, 4])
-        } else {
-            Tensor::from_vec(self.cell_delay.clone(), &[self.cell_delay.len() / 4, 4])
-                .expect("consistent")
-        };
         Prediction {
-            arrival: Tensor::from_vec(arrival, &[n, 4]).expect("consistent"),
-            slew: Tensor::from_vec(slew, &[n, 4]).expect("consistent"),
-            net_delay: Tensor::from_vec(self.net_delay.clone(), &[n, 4]).expect("consistent"),
-            cell_delay,
+            arrival: self.atslew.narrow_cols(0, 4),
+            slew: self.atslew.narrow_cols(4, 4),
+            net_delay: self.net_delay.detach(),
+            cell_delay: self.cell_delay.detach(),
         }
     }
 
@@ -336,24 +292,20 @@ impl IncrementalGnn {
             dirty_net_edges: dirty.net_edges.len(),
             ..UpdateStats::default()
         };
-
-        let emb_changed = if self.model.config().ablation.no_net_embedding {
-            Vec::new()
-        } else {
-            self.update_embedding(&dirty.pins, &dirty.net_edges, &mut stats)
-        };
-
-        if !emb_changed.is_empty() {
-            // Net-delay head is row-wise over the embedding.
-            let head = &self.model.net_embed().net_delay_head;
-            let out = head.forward(&gather_flat(&self.embedding, self.embed_dim, &emb_changed));
-            let data = out.data();
-            for (i, &p) in emb_changed.iter().enumerate() {
-                write_row(&mut self.net_delay, 4, p, &data[i * 4..(i + 1) * 4]);
+        tp_tensor::no_grad(|| {
+            let emb_changed = if self.model.config().ablation.no_net_embedding {
+                Vec::new()
+            } else {
+                self.update_embedding(&dirty.pins, &dirty.net_edges, &mut stats)
+            };
+            if !emb_changed.is_empty() {
+                // Net-delay head is row-wise over the embedding.
+                let rows = self.embedding.gather_rows(&emb_changed);
+                let fresh = self.model.net_embed().net_delay(&rows);
+                write_rows(&self.net_delay, &emb_changed, &fresh);
             }
-        }
-
-        self.update_propagation(&dirty.pins, &emb_changed, &dirty.net_edges, &mut stats);
+            self.update_propagation(&dirty.pins, &emb_changed, &dirty.net_edges, &mut stats);
+        });
         tp_obs::metrics::count("gnn.incremental.updates", 1);
         tp_obs::metrics::count(
             "gnn.incremental.recomputed_rows",
@@ -362,35 +314,25 @@ impl IncrementalGnn {
         Ok(stats)
     }
 
-    /// Reads the layer-`l` input row for pin `p` (pin features for layer
-    /// 0, the previous layer's output otherwise).
-    fn embed_input_row(&self, l: usize, p: usize, out: &mut Vec<f32>) {
-        if l == 0 {
-            let pf = self.design.pin_features.data();
-            out.extend_from_slice(&pf[p * PIN_FEATURES..(p + 1) * PIN_FEATURES]);
-        } else {
-            out.extend_from_slice(
-                &self.embed_h[l - 1][p * self.embed_dim..(p + 1) * self.embed_dim],
-            );
-        }
-    }
-
-    /// Incrementally re-runs the three `NetConv` layers; returns the pins
-    /// whose final embedding changed.
+    /// Incrementally re-runs the `NetConv` layers; returns the pins whose
+    /// final embedding changed.
     fn update_embedding(
-        &mut self,
+        &self,
         moved: &[usize],
         dirty_ef: &[usize],
         stats: &mut UpdateStats,
     ) -> Vec<usize> {
-        let d = self.embed_dim;
-        let nef = self.design.net_edge_features.clone();
-        let model = Arc::clone(&self.model);
-        let layers = &model.net_embed().layers;
+        let design = &self.design;
+        let nef = &design.net_edge_features;
         let mut dirty_h: Vec<usize> = moved.to_vec();
 
-        for (l, layer) in layers.iter().enumerate() {
-            let in_dim = if l == 0 { PIN_FEATURES } else { d };
+        for (l, layer) in self.model.net_embed().layers.iter().enumerate() {
+            let h = if l == 0 {
+                &design.pin_features
+            } else {
+                &self.embed_h[l - 1]
+            };
+            let (sink_update, out) = (&self.embed_su[l], &self.embed_h[l]);
 
             // -- candidate sinks: self, driver or edge feature dirty --
             let mut cand_sinks: BTreeSet<usize> = BTreeSet::new();
@@ -398,148 +340,52 @@ impl IncrementalGnn {
                 if !self.net_in[p].is_empty() {
                     cand_sinks.insert(p);
                 }
-                for &e in &self.net_out[p] {
-                    cand_sinks.insert(self.design.net_dst[e]);
-                }
+                cand_sinks.extend(self.net_out[p].iter().map(|&e| design.net_dst[e]));
             }
-            for &e in dirty_ef {
-                cand_sinks.insert(self.design.net_dst[e]);
-            }
+            cand_sinks.extend(dirty_ef.iter().map(|&e| design.net_dst[e]));
             let cand_sinks: Vec<usize> = cand_sinks.into_iter().collect();
 
-            // Broadcast messages for every in-edge of every candidate
-            // sink, then re-fold each sink's scatter in edge order.
             let mut changed_su: Vec<usize> = Vec::new();
             if !cand_sinks.is_empty() {
-                let mut input = Vec::new();
-                let mut per_sink: Vec<usize> = Vec::with_capacity(cand_sinks.len());
-                for &s in &cand_sinks {
-                    per_sink.push(self.net_in[s].len());
-                    for &e in &self.net_in[s] {
-                        self.embed_input_row(l, self.design.net_src[e], &mut input);
-                        self.embed_input_row(l, s, &mut input);
-                        let ef = nef.data();
-                        input.extend_from_slice(&ef[e * 2..e * 2 + 2]);
-                    }
-                }
-                let rows = input.len() / (2 * in_dim + 2);
-                let msgs = if rows == 0 {
-                    None
-                } else {
-                    Some(layer.broadcast.forward(
-                        &Tensor::from_vec(input, &[rows, 2 * in_dim + 2]).expect("consistent"),
-                    ))
-                };
-                let msg_data = msgs.as_ref().map(|m| m.to_vec()).unwrap_or_default();
-                let mut off = 0usize;
-                for (i, &s) in cand_sinks.iter().enumerate() {
-                    // scatter_rows accumulates duplicates in row order; a
-                    // sink with no in-edge keeps its all-zero row.
-                    let mut acc = vec![0.0f32; d];
-                    for k in 0..per_sink[i] {
-                        let row = &msg_data[(off + k) * d..(off + k + 1) * d];
-                        for (a, &v) in acc.iter_mut().zip(row) {
-                            *a += v;
-                        }
-                    }
-                    off += per_sink[i];
-                    if write_row(&mut self.embed_su[l], d, s, &acc) {
-                        changed_su.push(s);
-                    }
-                }
+                let (edges, dest) = edges_of(&cand_sinks, &self.net_in);
+                let fresh = layer.sink_update(
+                    &h.gather_rows(&pick(&design.net_src, &edges)),
+                    &h.gather_rows(&pick(&design.net_dst, &edges)),
+                    &nef.gather_rows(&edges),
+                    &dest,
+                    cand_sinks.len(),
+                );
+                changed_su = write_rows(sink_update, &cand_sinks, &fresh);
             }
 
             // -- candidate drivers: self, any changed sink update, or
             // edge feature dirty --
-            let mut cand_drv: BTreeSet<usize> = BTreeSet::new();
-            for &p in &dirty_h {
-                if self.design.sink_mask[p] < 0.5 {
-                    cand_drv.insert(p);
-                }
-            }
+            let mut cand_drv: BTreeSet<usize> = dirty_h
+                .iter()
+                .copied()
+                .filter(|&p| design.sink_mask[p] < 0.5)
+                .collect();
             for &s in &changed_su {
-                for &e in &self.net_in[s] {
-                    cand_drv.insert(self.design.net_src[e]);
-                }
+                cand_drv.extend(self.net_in[s].iter().map(|&e| design.net_src[e]));
             }
-            for &e in dirty_ef {
-                cand_drv.insert(self.design.net_src[e]);
-            }
+            cand_drv.extend(dirty_ef.iter().map(|&e| design.net_src[e]));
             let cand_drv: Vec<usize> = cand_drv.into_iter().collect();
 
             let mut changed_drv: Vec<usize> = Vec::new();
             if !cand_drv.is_empty() {
-                // Reduce messages over each candidate driver's out-edges
-                // (ascending eid — the segment_sum/max fold order).
-                let mut input = Vec::new();
-                let mut per_drv: Vec<usize> = Vec::with_capacity(cand_drv.len());
-                for &p in &cand_drv {
-                    per_drv.push(self.net_out[p].len());
-                    for &e in &self.net_out[p] {
-                        self.embed_input_row(l, p, &mut input);
-                        let sink = self.design.net_dst[e];
-                        input.extend_from_slice(&self.embed_su[l][sink * d..(sink + 1) * d]);
-                        let ef = nef.data();
-                        input.extend_from_slice(&ef[e * 2..e * 2 + 2]);
-                    }
-                }
-                let rows = input.len() / (in_dim + d + 2);
-                let rmsg = if rows == 0 {
-                    Vec::new()
-                } else {
-                    layer
-                        .reduce_msg
-                        .forward(
-                            &Tensor::from_vec(input, &[rows, in_dim + d + 2])
-                                .expect("consistent"),
-                        )
-                        .to_vec()
-                };
-                let mut comb_in = Vec::new();
-                let mut off = 0usize;
-                for (i, &p) in cand_drv.iter().enumerate() {
-                    let mut sum = vec![0.0f32; d];
-                    let mut max = vec![f32::NEG_INFINITY; d];
-                    for k in 0..per_drv[i] {
-                        let row = &rmsg[(off + k) * d..(off + k + 1) * d];
-                        for j in 0..d {
-                            sum[j] += row[j];
-                            if row[j] > max[j] {
-                                max[j] = row[j];
-                            }
-                        }
-                    }
-                    off += per_drv[i];
-                    for m in max.iter_mut() {
-                        if *m == f32::NEG_INFINITY {
-                            *m = 0.0; // segment_max: empty segment
-                        }
-                    }
-                    self.embed_input_row(l, p, &mut comb_in);
-                    comb_in.extend_from_slice(&sum);
-                    comb_in.extend_from_slice(&max);
-                }
-                let du = layer
-                    .combine
-                    .forward(
-                        &Tensor::from_vec(comb_in, &[cand_drv.len(), in_dim + 2 * d])
-                            .expect("consistent"),
-                    )
-                    .to_vec();
-                for (i, &p) in cand_drv.iter().enumerate() {
-                    if write_row(&mut self.embed_h[l], d, p, &du[i * d..(i + 1) * d]) {
-                        changed_drv.push(p);
-                    }
-                }
+                let (edges, seg) = edges_of(&cand_drv, &self.net_out);
+                let fresh = layer.driver_update(
+                    &h.gather_rows(&cand_drv),
+                    &h.gather_rows(&pick(&design.net_src, &edges)),
+                    &sink_update.gather_rows(&pick(&design.net_dst, &edges)),
+                    &nef.gather_rows(&edges),
+                    &seg,
+                );
+                changed_drv = write_rows(out, &cand_drv, &fresh);
             }
 
-            // A sink's merged output equals its sink-update row (MLP
-            // outputs never produce -0.0, so the 0/1 mask merge is exact
-            // row selection — pinned by the bit-identity tests).
-            for &s in &changed_su {
-                let su: Vec<f32> = self.embed_su[l][s * d..(s + 1) * d].to_vec();
-                write_row(&mut self.embed_h[l], d, s, &su);
-            }
+            // The merge: a sink's output row is its sink-update row.
+            write_rows(out, &changed_su, &sink_update.gather_rows(&changed_su));
 
             stats.recomputed_embed_rows += cand_sinks.len() + cand_drv.len();
             let mut next: Vec<usize> = changed_su;
@@ -548,58 +394,30 @@ impl IncrementalGnn {
             next.dedup();
             dirty_h = next;
         }
-
-        // Publish the final layer into the embedding cache.
-        for &p in &dirty_h {
-            let row: Vec<f32> = self.embed_h[2][p * d..(p + 1) * d].to_vec();
-            write_row(&mut self.embedding, d, p, &row);
-        }
         stats.changed_embed_rows = dirty_h.len();
         dirty_h
     }
 
     /// Incrementally re-runs the levelized propagation and its heads.
     fn update_propagation(
-        &mut self,
+        &self,
         moved: &[usize],
         emb_changed: &[usize],
         dirty_net_edges: &[usize],
         stats: &mut UpdateStats,
     ) {
-        let model = Arc::clone(&self.model);
-        let prop = model.propagation();
-        let pd = self.prop_dim;
-        let ablation = prop.ablation;
+        let prop = self.model.propagation();
+        let design = &self.design;
 
         // -- init projection rows --
-        let mut x0_cand: BTreeSet<usize> = moved.iter().copied().collect();
-        x0_cand.extend(emb_changed.iter().copied());
-        let x0_cand: Vec<usize> = x0_cand.into_iter().collect();
-        let mut changed_x0: Vec<usize> = Vec::new();
-        if !x0_cand.is_empty() {
-            let mut input = Vec::with_capacity(x0_cand.len() * (PIN_FEATURES + self.embed_dim));
-            {
-                let pf = self.design.pin_features.data();
-                for &p in &x0_cand {
-                    input.extend_from_slice(&pf[p * PIN_FEATURES..(p + 1) * PIN_FEATURES]);
-                    input.extend_from_slice(
-                        &self.embedding[p * self.embed_dim..(p + 1) * self.embed_dim],
-                    );
-                }
-            }
-            let out = prop
-                .init
-                .forward(
-                    &Tensor::from_vec(input, &[x0_cand.len(), PIN_FEATURES + self.embed_dim])
-                        .expect("consistent"),
-                )
-                .to_vec();
-            for (i, &p) in x0_cand.iter().enumerate() {
-                if write_row(&mut self.x0, pd, p, &out[i * pd..(i + 1) * pd]) {
-                    changed_x0.push(p);
-                }
-            }
-        }
+        let mut x0_rows: BTreeSet<usize> = moved.iter().copied().collect();
+        x0_rows.extend(emb_changed.iter().copied());
+        let x0_rows: Vec<usize> = x0_rows.into_iter().collect();
+        let fresh = prop.init_states(
+            &design.pin_features.gather_rows(&x0_rows),
+            &self.embedding.gather_rows(&x0_rows),
+        );
+        let changed_x0 = write_rows(&self.x0, &x0_rows, &fresh);
 
         // -- dirty frontier per level --
         let num_levels = self.plan.num_levels();
@@ -609,236 +427,70 @@ impl IncrementalGnn {
             dirty[l].insert(r);
         }
         for &e in dirty_net_edges {
-            let (dl, dr) = self.coord[self.design.net_dst[e]];
+            let (dl, dr) = self.coord[design.net_dst[e]];
             dirty[dl].insert(dr);
         }
 
-        let mut celld_dirty: BTreeSet<usize> = BTreeSet::new();
-        let mut atslew_pins: Vec<usize> = Vec::new();
-
+        // Changed rows per level, ascending; the heads re-run on them.
+        let mut changed: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
+        let (mut state_rows, mut state_pins) = (Vec::new(), Vec::new());
+        let (mut arc_msgs, mut arc_pos) = (Vec::new(), Vec::new());
         for l in 0..num_levels {
             if dirty[l].is_empty() {
                 continue;
             }
             let rows: Vec<usize> = dirty[l].iter().copied().collect();
-            let pins: Vec<usize> = rows.iter().map(|&r| self.plan.levels[l].pins[r]).collect();
             stats.recomputed_state_rows += rows.len();
+            let sub = self.plan.levels[l].restrict(&rows);
+            let (fresh, msgs) = prop.compute_level(design, &sub, l, &self.x0, &self.blocks);
+            let block = self.blocks[l].as_ref().expect("every level stays resident");
+            changed[l] = write_rows(block, &rows, &fresh);
+            stats.changed_state_rows += changed[l].len();
 
-            let new_states: Vec<f32> = if l == 0 {
-                // Level 0 blocks are gathered init rows.
-                let mut out = Vec::with_capacity(rows.len() * pd);
-                for &p in &pins {
-                    out.extend_from_slice(&self.x0[p * pd..(p + 1) * pd]);
-                }
-                out
-            } else {
-                let net = self.net_contribution(prop, l, &rows);
-                let cell = self.cell_contribution(prop, l, &rows, ablation);
-                // update = net + cell, then post([x0_row, update]).
-                let mut post_in = Vec::with_capacity(rows.len() * 2 * pd);
-                for (i, &p) in pins.iter().enumerate() {
-                    post_in.extend_from_slice(&self.x0[p * pd..(p + 1) * pd]);
-                    for j in 0..pd {
-                        post_in.push(net[i * pd + j] + cell[i * pd + j]);
+            // Arc messages depend on the source state only, so the
+            // cell-delay head re-runs on arcs whose source row changed.
+            if let Some(msgs) = msgs {
+                let mut sel = Vec::new();
+                let mut row = 0;
+                for g in &sub.cell_groups {
+                    for (sr, &eid) in g.src_rows.iter().zip(&g.edge_ids) {
+                        if changed[g.src_level].binary_search(sr).is_ok() {
+                            sel.push(row);
+                            arc_pos.push(self.cell_order_pos[eid]);
+                        }
+                        row += 1;
                     }
                 }
-                prop.post
-                    .forward(
-                        &Tensor::from_vec(post_in, &[rows.len(), 2 * pd]).expect("consistent"),
-                    )
-                    .to_vec()
-            };
-
-            let mut changed_rows: Vec<usize> = Vec::new();
-            for (i, &r) in rows.iter().enumerate() {
-                if write_row(
-                    &mut self.blocks[l],
-                    pd,
-                    r,
-                    &new_states[i * pd..(i + 1) * pd],
-                ) {
-                    changed_rows.push(r);
-                }
+                arc_msgs.push(msgs.gather_rows(&sel));
             }
-            stats.changed_state_rows += changed_rows.len();
 
-            for &r in &changed_rows {
-                atslew_pins.push(self.plan.levels[l].pins[r]);
-                for &(dl, dr) in &self.prop_net_out[l][r] {
+            state_rows.push(block.gather_rows(&changed[l]));
+            for &r in &changed[l] {
+                let p = self.plan.levels[l].pins[r];
+                state_pins.push(p);
+                for &e in &self.net_out[p] {
+                    let (dl, dr) = self.coord[design.net_dst[e]];
                     dirty[dl].insert(dr);
                 }
-                for &(dl, dr, eid) in &self.prop_cell_out[l][r] {
+                for &e in &self.cell_out[p] {
+                    let (dl, dr) = self.coord[design.cell_dst[e]];
                     dirty[dl].insert(dr);
-                    celld_dirty.insert(self.cell_order_pos[eid]);
                 }
             }
         }
 
-        // -- arrival/slew head (row-wise over states) --
-        if !atslew_pins.is_empty() {
-            let mut input = Vec::with_capacity(atslew_pins.len() * pd);
-            for &p in &atslew_pins {
-                let (l, r) = self.coord[p];
-                input.extend_from_slice(&self.blocks[l][r * pd..(r + 1) * pd]);
-            }
-            let out = prop
-                .atslew_head
-                .forward(&Tensor::from_vec(input, &[atslew_pins.len(), pd]).expect("consistent"))
-                .to_vec();
-            for (i, &p) in atslew_pins.iter().enumerate() {
-                write_row(&mut self.atslew, 8, p, &out[i * 8..(i + 1) * 8]);
-            }
+        // -- heads, row-wise over the changed states and arc messages --
+        if !state_pins.is_empty() {
+            let refs: Vec<&Tensor> = state_rows.iter().collect();
+            let fresh = prop.atslew_head.forward(&Tensor::concat_rows(&refs));
+            write_rows(&self.atslew, &state_pins, &fresh);
         }
-
-        // -- cell-delay head (row-wise over per-arc messages) --
-        stats.recomputed_cell_arcs = celld_dirty.len();
-        if !celld_dirty.is_empty() {
-            let positions: Vec<usize> = celld_dirty.into_iter().collect();
-            let eids: Vec<usize> = positions
-                .iter()
-                .map(|&pos| self.plan.cell_edge_order[pos])
-                .collect();
-            let mut src = Vec::with_capacity(eids.len() * pd);
-            for &e in &eids {
-                let (sl, sr) = self.coord[self.design.cell_src[e]];
-                src.extend_from_slice(&self.blocks[sl][sr * pd..(sr + 1) * pd]);
-            }
-            let src = Tensor::from_vec(src, &[eids.len(), pd]).expect("consistent");
-            let ef = self.design.cell_edge_features.gather_rows(&eids);
-            let lut_out = if ablation.no_lut_module {
-                ef.narrow_cols(0, LutModule::OUT_DIM)
-            } else {
-                prop.lut.forward(&src, &ef)
-            };
-            let msgs = prop
-                .cell_msg
-                .forward(&Tensor::concat_cols(&[&src, &lut_out]));
-            let out = prop.celld_head.forward(&msgs).to_vec();
-            for (i, &pos) in positions.iter().enumerate() {
-                write_row(&mut self.cell_delay, 4, pos, &out[i * 4..(i + 1) * 4]);
-            }
+        stats.recomputed_cell_arcs = arc_pos.len();
+        if !arc_pos.is_empty() {
+            let refs: Vec<&Tensor> = arc_msgs.iter().collect();
+            let fresh = prop.celld_head.forward(&Tensor::concat_rows(&refs));
+            write_rows(&self.cell_delay, &arc_pos, &fresh);
         }
-    }
-
-    /// Net-propagation contribution for the given dirty rows of level `l`,
-    /// replaying each row's segment-sum fold in plan order.
-    fn net_contribution(&self, prop: &crate::Propagation, l: usize, rows: &[usize]) -> Vec<f32> {
-        let pd = self.prop_dim;
-        let mut input = Vec::new();
-        let mut per_row: Vec<usize> = Vec::with_capacity(rows.len());
-        {
-            let nef = self.design.net_edge_features.data();
-            for &r in rows {
-                let edges = &self.lvl_net_in[l][r];
-                per_row.push(edges.len());
-                for &(sl, sr, eid) in edges {
-                    input.extend_from_slice(&self.blocks[sl][sr * pd..(sr + 1) * pd]);
-                    input.extend_from_slice(&nef[eid * 2..eid * 2 + 2]);
-                }
-            }
-        }
-        let total: usize = per_row.iter().sum();
-        let mut out = vec![0.0f32; rows.len() * pd];
-        if total == 0 {
-            return out; // no in-edges: the zero block, exactly
-        }
-        let msgs = prop
-            .net_prop
-            .forward(&Tensor::from_vec(input, &[total, pd + 2]).expect("consistent"))
-            .to_vec();
-        let mut off = 0usize;
-        for (i, &cnt) in per_row.iter().enumerate() {
-            for k in 0..cnt {
-                let row = &msgs[(off + k) * pd..(off + k + 1) * pd];
-                for j in 0..pd {
-                    out[i * pd + j] += row[j];
-                }
-            }
-            off += cnt;
-        }
-        out
-    }
-
-    /// Cell-propagation contribution for the given dirty rows of level
-    /// `l`: LUT interpolation, message MLP, sum/max folds and the combine
-    /// MLP on cell-fed rows; zero rows elsewhere (the scatter's zeros).
-    fn cell_contribution(
-        &self,
-        prop: &crate::Propagation,
-        l: usize,
-        rows: &[usize],
-        ablation: crate::Ablation,
-    ) -> Vec<f32> {
-        let pd = self.prop_dim;
-        let mut out = vec![0.0f32; rows.len() * pd];
-        let fed: Vec<(usize, usize)> = rows
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| self.cell_fed[l][r])
-            .map(|(i, &r)| (i, r))
-            .collect();
-        if fed.is_empty() {
-            return out;
-        }
-        let mut src = Vec::new();
-        let mut eids: Vec<usize> = Vec::new();
-        let mut per_row: Vec<usize> = Vec::with_capacity(fed.len());
-        for &(_, r) in &fed {
-            let edges = &self.lvl_cell_in[l][r];
-            per_row.push(edges.len());
-            for &(sl, sr, eid) in edges {
-                src.extend_from_slice(&self.blocks[sl][sr * pd..(sr + 1) * pd]);
-                eids.push(eid);
-            }
-        }
-        let total = eids.len();
-        let src = Tensor::from_vec(src, &[total, pd]).expect("consistent");
-        let ef = self.design.cell_edge_features.gather_rows(&eids);
-        let lut_out = if ablation.no_lut_module {
-            ef.narrow_cols(0, LutModule::OUT_DIM)
-        } else {
-            prop.lut.forward(&src, &ef)
-        };
-        let msgs = prop
-            .cell_msg
-            .forward(&Tensor::concat_cols(&[&src, &lut_out]))
-            .to_vec();
-
-        let mut comb_in = Vec::with_capacity(fed.len() * 2 * pd);
-        let mut off = 0usize;
-        for &cnt in &per_row {
-            let mut sum = vec![0.0f32; pd];
-            let mut max = vec![f32::NEG_INFINITY; pd];
-            for k in 0..cnt {
-                let row = &msgs[(off + k) * pd..(off + k + 1) * pd];
-                for j in 0..pd {
-                    sum[j] += row[j];
-                    if row[j] > max[j] {
-                        max[j] = row[j];
-                    }
-                }
-            }
-            off += cnt;
-            for m in max.iter_mut() {
-                if *m == f32::NEG_INFINITY {
-                    *m = 0.0;
-                }
-            }
-            comb_in.extend_from_slice(&sum);
-            if ablation.no_max_channel {
-                comb_in.extend_from_slice(&sum);
-            } else {
-                comb_in.extend_from_slice(&max);
-            }
-        }
-        let comb = prop
-            .cell_combine
-            .forward(&Tensor::from_vec(comb_in, &[fed.len(), 2 * pd]).expect("consistent"))
-            .to_vec();
-        for (k, &(i, _)) in fed.iter().enumerate() {
-            out[i * pd..(i + 1) * pd].copy_from_slice(&comb[k * pd..(k + 1) * pd]);
-        }
-        out
     }
 }
 
@@ -976,6 +628,125 @@ mod tests {
             .expect("valid move");
         assert_eq!(stats.changed_embed_rows, 0);
         assert_eq!(stats.changed_state_rows, 0);
+        assert_eq!(bits(&inc.prediction()), before);
+    }
+
+    #[test]
+    fn seeded_move_rounds_match_a_fresh_full_forward() {
+        use tp_rng::Rng;
+        let ablations = [
+            Ablation::default(),
+            Ablation {
+                no_max_channel: true,
+                ..Default::default()
+            },
+            Ablation {
+                no_lut_module: true,
+                ..Default::default()
+            },
+            Ablation {
+                no_net_embedding: true,
+                ..Default::default()
+            },
+        ];
+        tp_rng::prop::check("incremental_matches_full_forward", 16, |rng| {
+            let lib = Library::synthetic_sky130(0);
+            let spec = &BENCHMARKS[rng.gen_range(0..BENCHMARKS.len())];
+            let cfg = GeneratorConfig {
+                scale: rng.gen_range(0.01..0.02),
+                seed: rng.next_u64(),
+                depth: Some(rng.gen_range(4..10)),
+            };
+            let circuit = generate(spec, &lib, &cfg);
+            let placement = place_circuit(&circuit, &PlacementConfig::default(), 1);
+            let sta = StaConfig::default();
+            let flow = run_full_flow(&circuit, &placement, &lib, &sta);
+            let design =
+                DesignGraph::from_flow(spec.name, true, &circuit, &placement, &lib, &flow, &sta);
+            let model = Arc::new(TimingGnn::new(&ModelConfig {
+                embed_dim: 4,
+                prop_dim: 6,
+                hidden: vec![8],
+                seed: rng.next_u64(),
+                ablation: ablations[rng.gen_range(0..ablations.len())],
+            }));
+            let n = design.num_pins;
+            let die = *placement.die();
+            let mut inc = IncrementalGnn::new(Arc::clone(&model), design, placement);
+            for _ in 0..rng.gen_range(1..4) {
+                let mut moves: Vec<PinMove> = Vec::new();
+                for _ in 0..rng.gen_range(1..7) {
+                    let pin = if !moves.is_empty() && rng.gen_bool(0.3) {
+                        moves[rng.gen_range(0..moves.len())].pin // repeated pin
+                    } else {
+                        rng.gen_range(0..n)
+                    };
+                    let (x, y) = match rng.gen_range(0..4) {
+                        0 => {
+                            let loc = inc.placement().location(tp_graph::PinId::new(pin));
+                            (loc.x, loc.y) // no-op
+                        }
+                        1 => (
+                            if rng.gen_bool(0.5) { 0.0 } else { die.width },
+                            if rng.gen_bool(0.5) { 0.0 } else { die.height },
+                        ),
+                        _ => (
+                            rng.gen_range(0.0..die.width),
+                            rng.gen_range(0.0..die.height),
+                        ),
+                    };
+                    moves.push(PinMove { pin, x, y });
+                }
+                inc.apply_moves(&moves)
+                    .expect("in-range finite moves are valid");
+                let full = model.forward(inc.design(), inc.plan());
+                assert_eq!(
+                    bits(&inc.prediction()),
+                    bits(&full),
+                    "{}: incremental must be bit-identical to a full forward after {moves:?}",
+                    spec.name
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn cached_tensors_hold_no_autograd_tape() {
+        let model = Arc::new(small_model(Ablation::default()));
+        let (d, p) = fixture();
+        let rounds = move_rounds(&d, &p);
+        assert!(tp_tensor::grad_enabled(), "the check needs the tape on");
+        let mut inc = IncrementalGnn::new(model, d, p);
+        let assert_no_tape = |inc: &IncrementalGnn| {
+            let mut cached: Vec<&Tensor> = inc.embed_h.iter().chain(&inc.embed_su).collect();
+            cached.extend(inc.blocks.iter().flatten());
+            cached.extend([
+                &inc.embedding,
+                &inc.x0,
+                &inc.atslew,
+                &inc.net_delay,
+                &inc.cell_delay,
+            ]);
+            assert!(cached.len() > 5);
+            for t in cached {
+                assert!(!t.requires_grad(), "a cached tensor pins an autograd tape");
+            }
+        };
+        assert_no_tape(&inc);
+        for moves in &rounds {
+            inc.apply_moves(moves).expect("valid moves");
+            assert_no_tape(&inc);
+        }
+    }
+
+    #[test]
+    fn empty_edit_does_no_work() {
+        let model = Arc::new(small_model(Ablation::default()));
+        let (d, p) = fixture();
+        let mut inc = IncrementalGnn::new(model, d, p);
+        let before = bits(&inc.prediction());
+        let stats = inc.apply_moves(&[]).expect("an empty edit is valid");
+        assert_eq!(stats, UpdateStats::default());
         assert_eq!(bits(&inc.prediction()), before);
     }
 

@@ -163,64 +163,38 @@ impl TimingGnn {
         &self.propagation
     }
 
+    /// The propagation stage's embedding input `[N, embed_dim]`: the net
+    /// embedding, or zeros under the `no_net_embedding` ablation (whose
+    /// model runs no net-conv layer, so `on_layer` is never called).
+    pub(crate) fn embedding(
+        &self,
+        design: &DesignGraph,
+        on_layer: impl FnMut(&Tensor, &Tensor),
+    ) -> Tensor {
+        if self.config.ablation.no_net_embedding {
+            Tensor::zeros(&[design.num_pins, self.config.embed_dim])
+        } else {
+            self.net_embed.embed_with(design, on_layer)
+        }
+    }
+
     /// Full forward pass.
     ///
     /// Inside [`tp_tensor::no_grad`] with a positive
     /// [`tp_partition::partition_nodes`] budget, the propagation stage
-    /// streams chunk-by-chunk with bounded live memory; the outputs are
-    /// bit-identical to the monolithic pass.
+    /// streams chunk-by-chunk with bounded live memory (see
+    /// [`Propagation::forward`]); the outputs are bit-identical to the
+    /// monolithic pass.
     pub fn forward(&self, design: &DesignGraph, plan: &PropPlan) -> Prediction {
-        if tp_partition::partition_nodes() > 0 && !tp_tensor::grad_enabled() {
-            let embedding = if self.config.ablation.no_net_embedding {
-                Tensor::zeros(&[design.num_pins, self.config.embed_dim])
-            } else {
-                self.net_embed.embed(design)
-            };
-            let net_delay = self.net_embed.net_delay(&embedding);
-            let out = self.propagation.forward(design, plan, &embedding);
-            return Prediction {
-                arrival: out.atslew.narrow_cols(0, 4),
-                slew: out.atslew.narrow_cols(4, 4),
-                net_delay,
-                cell_delay: out.cell_delay,
-            };
-        }
-        self.forward_traced(design, plan).0
-    }
-
-    /// [`TimingGnn::forward`] that also captures every intermediate the
-    /// incremental engine caches (net-embedding layers, init projection,
-    /// per-level state blocks).
-    pub(crate) fn forward_traced(
-        &self,
-        design: &DesignGraph,
-        plan: &PropPlan,
-    ) -> (Prediction, crate::netconv::EmbedTrace, crate::prop::PropTrace) {
-        let (embedding, embed_trace) = if self.config.ablation.no_net_embedding {
-            (
-                Tensor::zeros(&[design.num_pins, self.config.embed_dim]),
-                crate::netconv::EmbedTrace {
-                    layer_outputs: Vec::new(),
-                    sink_updates: Vec::new(),
-                },
-            )
-        } else {
-            self.net_embed.embed_traced(design)
-        };
+        let embedding = self.embedding(design, |_, _| {});
         let net_delay = self.net_embed.net_delay(&embedding);
-        let (out, prop_trace) = self.propagation.forward_traced(design, plan, &embedding);
-        let arrival = out.atslew.narrow_cols(0, 4);
-        let slew = out.atslew.narrow_cols(4, 4);
-        (
-            Prediction {
-                arrival,
-                slew,
-                net_delay,
-                cell_delay: out.cell_delay,
-            },
-            embed_trace,
-            prop_trace,
-        )
+        let out = self.propagation.forward(design, plan, &embedding);
+        Prediction {
+            arrival: out.atslew.narrow_cols(0, 4),
+            slew: out.atslew.narrow_cols(4, 4),
+            net_delay,
+            cell_delay: out.cell_delay,
+        }
     }
 }
 

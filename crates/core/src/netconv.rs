@@ -10,9 +10,9 @@ use tp_tensor::Tensor;
 /// with sum and max channels.
 #[derive(Debug, Clone)]
 pub struct NetConv {
-    pub(crate) broadcast: Mlp,
-    pub(crate) reduce_msg: Mlp,
-    pub(crate) combine: Mlp,
+    broadcast: Mlp,
+    reduce_msg: Mlp,
+    combine: Mlp,
     out_dim: usize,
 }
 
@@ -63,23 +63,11 @@ impl NetConv {
         let dst_h = h.gather_rows(&design.net_dst);
         let ef = &design.net_edge_features;
 
-        // Broadcast: driver -> sink along net edges. Every sink has exactly
-        // one incoming net edge, so the scatter is an assignment.
-        let bmsg = self
-            .broadcast
-            .forward(&Tensor::concat_cols(&[&src_h, &dst_h, ef]));
-        let sink_update = bmsg.scatter_rows(&design.net_dst, n);
-
-        // Reduction: updated sinks -> driver through sum & max channels.
+        // Every sink has exactly one incoming net edge, so the scatter is
+        // an assignment.
+        let sink_update = self.sink_update(&src_h, &dst_h, ef, &design.net_dst, n);
         let new_dst = sink_update.gather_rows(&design.net_dst);
-        let rmsg = self
-            .reduce_msg
-            .forward(&Tensor::concat_cols(&[&src_h, &new_dst, ef]));
-        let sum_ch = rmsg.segment_sum(&design.net_src, n);
-        let max_ch = rmsg.segment_max(&design.net_src, n);
-        let driver_update = self
-            .combine
-            .forward(&Tensor::concat_cols(&[h, &sum_ch, &max_ch]));
+        let driver_update = self.driver_update(h, &src_h, &new_dst, ef, &design.net_src);
 
         // Each pin is either a net sink or a net driver; merge the two
         // disjoint updates.
@@ -87,6 +75,45 @@ impl NetConv {
         let out = mask_rows(&sink_update, &design.sink_mask)
             .add(&mask_rows(&driver_update, &driver_mask));
         (out, sink_update)
+    }
+
+    /// The sink-update kernel (graph broadcast, driver → sink): one message
+    /// per net edge from its `[driver h ‖ sink h ‖ edge features]` rows,
+    /// summed in edge order onto row `dest[i]` of a `rows`-row block.
+    pub(crate) fn sink_update(
+        &self,
+        src_h: &Tensor,
+        dst_h: &Tensor,
+        ef: &Tensor,
+        dest: &[usize],
+        rows: usize,
+    ) -> Tensor {
+        self.broadcast
+            .forward(&Tensor::concat_cols(&[src_h, dst_h, ef]))
+            .scatter_rows(dest, rows)
+    }
+
+    /// The driver-update kernel (graph reduction, sinks → driver): one
+    /// message per net edge from its `[driver h ‖ sink update ‖ edge
+    /// features]` rows, reduced in edge order onto row `seg[i]` through the
+    /// sum and max channels, then combined with the drivers' own rows
+    /// `drv_h` (one per output row).
+    pub(crate) fn driver_update(
+        &self,
+        drv_h: &Tensor,
+        src_h: &Tensor,
+        new_dst: &Tensor,
+        ef: &Tensor,
+        seg: &[usize],
+    ) -> Tensor {
+        let rows = drv_h.shape()[0];
+        let rmsg = self
+            .reduce_msg
+            .forward(&Tensor::concat_cols(&[src_h, new_dst, ef]));
+        let sum_ch = rmsg.segment_sum(seg, rows);
+        let max_ch = rmsg.segment_max(seg, rows);
+        self.combine
+            .forward(&Tensor::concat_cols(&[drv_h, &sum_ch, &max_ch]))
     }
 }
 
@@ -108,19 +135,8 @@ impl Module for NetConv {
 #[derive(Debug, Clone)]
 pub struct NetEmbed {
     pub(crate) layers: Vec<NetConv>,
-    pub(crate) net_delay_head: Mlp,
+    net_delay_head: Mlp,
     embed_dim: usize,
-}
-
-/// Per-layer intermediates of one [`NetEmbed::embed`] pass, captured for
-/// the incremental engine: the output `h` of every layer plus its pre-mask
-/// `sink_update` matrix.
-#[derive(Debug, Clone)]
-pub(crate) struct EmbedTrace {
-    /// Layer outputs `h₁..h₃`, each `[N, embed_dim]`.
-    pub layer_outputs: Vec<Tensor>,
-    /// Pre-mask scattered broadcast messages per layer, `[N, embed_dim]`.
-    pub sink_updates: Vec<Tensor>,
 }
 
 impl NetEmbed {
@@ -148,25 +164,25 @@ impl NetEmbed {
 
     /// Computes pin embeddings `[N, embed_dim]`.
     pub fn embed(&self, design: &DesignGraph) -> Tensor {
-        self.embed_traced(design).0
+        self.embed_with(design, |_, _| {})
     }
 
-    /// [`NetEmbed::embed`] that also captures every layer's intermediates.
-    pub(crate) fn embed_traced(&self, design: &DesignGraph) -> (Tensor, EmbedTrace) {
+    /// [`NetEmbed::embed`] that shows `on_layer` every layer's output and
+    /// pre-mask sink update, in layer order.
+    pub(crate) fn embed_with(
+        &self,
+        design: &DesignGraph,
+        mut on_layer: impl FnMut(&Tensor, &Tensor),
+    ) -> Tensor {
         let _embed_span = tp_obs::span!("net_embed", layers = self.layers.len());
         let mut h = design.pin_features.clone();
-        let mut trace = EmbedTrace {
-            layer_outputs: Vec::with_capacity(self.layers.len()),
-            sink_updates: Vec::with_capacity(self.layers.len()),
-        };
         for (l, layer) in self.layers.iter().enumerate() {
             let _layer_span = tp_obs::span!("net_conv", layer = l);
             let (out, sink_update) = layer.forward_traced(design, &h);
+            on_layer(&out, &sink_update);
             h = out;
-            trace.layer_outputs.push(h.clone());
-            trace.sink_updates.push(sink_update);
         }
-        (h, trace)
+        h
     }
 
     /// Predicts per-pin net delay to root `[N, 4]` from embeddings

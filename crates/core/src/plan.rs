@@ -10,7 +10,7 @@
 use tp_data::DesignGraph;
 
 /// Edges entering one level from one source level.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EdgeGroup {
     /// Source level index.
     pub src_level: usize,
@@ -23,7 +23,7 @@ pub struct EdgeGroup {
 }
 
 /// Everything needed to compute one level's block.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelPlan {
     /// Global pin indices at this level (block row order).
     pub pins: Vec<usize>,
@@ -33,6 +33,47 @@ pub struct LevelPlan {
     pub cell_groups: Vec<EdgeGroup>,
     /// Local rows that receive cell-arc updates (cell output pins).
     pub cell_fed_local: Vec<usize>,
+}
+
+impl LevelPlan {
+    /// The sub-plan for some strictly ascending local `rows` of this
+    /// level: their pins, and every edge into them re-addressed to rows of
+    /// the sub-block. Each kept destination keeps its edges in this plan's
+    /// order (group order, then edge order within a group), and groups
+    /// left without edges are dropped, so a kernel run on the sub-plan
+    /// folds every kept row exactly as it does on the whole level.
+    pub fn restrict(&self, rows: &[usize]) -> LevelPlan {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows must ascend");
+        let keep = |groups: &[EdgeGroup]| -> Vec<EdgeGroup> {
+            groups
+                .iter()
+                .filter_map(|g| {
+                    let mut sub = EdgeGroup {
+                        src_level: g.src_level,
+                        ..EdgeGroup::default()
+                    };
+                    for (i, d) in g.dest_local.iter().enumerate() {
+                        if let Ok(r) = rows.binary_search(d) {
+                            sub.src_rows.push(g.src_rows[i]);
+                            sub.edge_ids.push(g.edge_ids[i]);
+                            sub.dest_local.push(r);
+                        }
+                    }
+                    (!sub.edge_ids.is_empty()).then_some(sub)
+                })
+                .collect()
+        };
+        LevelPlan {
+            pins: rows.iter().map(|&r| self.pins[r]).collect(),
+            net_groups: keep(&self.net_groups),
+            cell_groups: keep(&self.cell_groups),
+            cell_fed_local: self
+                .cell_fed_local
+                .iter()
+                .filter_map(|r| rows.binary_search(r).ok())
+                .collect(),
+        }
+    }
 }
 
 /// The full propagation schedule for one design.
@@ -214,6 +255,52 @@ mod tests {
         let plan = PropPlan::build(&d);
         assert!(plan.levels[0].net_groups.is_empty());
         assert!(plan.levels[0].cell_groups.is_empty());
+    }
+
+    /// `(src_level, src_row, edge_id)` of every edge into local row `r`,
+    /// in the order a kernel folds them.
+    fn in_edges(groups: &[EdgeGroup], r: usize) -> Vec<(usize, usize, usize)> {
+        let mut out = Vec::new();
+        for g in groups {
+            for i in 0..g.edge_ids.len() {
+                if g.dest_local[i] == r {
+                    out.push((g.src_level, g.src_rows[i], g.edge_ids[i]));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn restrict_keeps_each_destination_in_plan_order() {
+        let d = small_design();
+        let plan = PropPlan::build(&d);
+        for lp in &plan.levels {
+            let all: Vec<usize> = (0..lp.pins.len()).collect();
+            assert_eq!(
+                lp.restrict(&all),
+                *lp,
+                "restricting to every row is the identity"
+            );
+            let rows: Vec<usize> = all.iter().copied().filter(|r| r % 3 != 1).collect();
+            let sub = lp.restrict(&rows);
+            assert_eq!(sub.pins.len(), rows.len());
+            for (i, &r) in rows.iter().enumerate() {
+                assert_eq!(sub.pins[i], lp.pins[r]);
+                assert_eq!(in_edges(&sub.net_groups, i), in_edges(&lp.net_groups, r));
+                assert_eq!(in_edges(&sub.cell_groups, i), in_edges(&lp.cell_groups, r));
+                assert_eq!(
+                    sub.cell_fed_local.contains(&i),
+                    lp.cell_fed_local.contains(&r)
+                );
+            }
+            let groups = sub.net_groups.iter().chain(&sub.cell_groups);
+            assert!(
+                groups.clone().all(|g| !g.edge_ids.is_empty()),
+                "no empty groups"
+            );
+            assert!(groups.flat_map(|g| &g.dest_local).all(|&i| i < rows.len()));
+        }
     }
 
     #[test]

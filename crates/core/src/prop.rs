@@ -33,16 +33,16 @@ pub struct PropOutput {
 /// along topological levels, one asynchronous update per pin.
 #[derive(Debug, Clone)]
 pub struct Propagation {
-    pub(crate) init: Mlp,
-    pub(crate) net_prop: Mlp,
-    pub(crate) lut: LutModule,
-    pub(crate) cell_msg: Mlp,
-    pub(crate) cell_combine: Mlp,
-    pub(crate) post: Mlp,
+    init: Mlp,
+    net_prop: Mlp,
+    lut: LutModule,
+    cell_msg: Mlp,
+    cell_combine: Mlp,
+    post: Mlp,
     pub(crate) atslew_head: Mlp,
     pub(crate) celld_head: Mlp,
     prop_dim: usize,
-    pub(crate) ablation: Ablation,
+    ablation: Ablation,
 }
 
 /// Intermediates of one [`Propagation::forward`] pass, captured for the
@@ -51,8 +51,9 @@ pub struct Propagation {
 pub(crate) struct PropTrace {
     /// `init` MLP output `[N, prop_dim]` in pin order.
     pub x0: Tensor,
-    /// Per-level state blocks, `[levelₗ.pins.len(), prop_dim]` each.
-    pub blocks: Vec<Tensor>,
+    /// Per-level state blocks, `[levelₗ.pins.len(), prop_dim]` each; every
+    /// one is `Some` (the shape [`Propagation::compute_level`] reads).
+    pub blocks: Vec<Option<Tensor>>,
 }
 
 impl Propagation {
@@ -129,16 +130,28 @@ impl Propagation {
         self.forward_traced(design, plan, embedding).0
     }
 
-    /// One level's state block, shared verbatim between the monolithic,
-    /// partitioned-training and streamed paths — partitioning must never
-    /// change arithmetic, only residency, so all three run exactly this op
-    /// sequence. Returns the block and, when the level has cell arcs, the
-    /// concatenated cell messages (input of the cell-delay head).
+    /// The init projection `[pin features ‖ embedding] → state` of the
+    /// given rows (all pins, or the incremental engine's dirty ones).
+    pub(crate) fn init_states(&self, pin_features: &Tensor, embedding: &Tensor) -> Tensor {
+        self.init
+            .forward(&Tensor::concat_cols(&[pin_features, embedding]))
+    }
+
+    /// One level's state block, shared verbatim between the traced pass,
+    /// the streamed pass and the incremental engine — partitioning and
+    /// incremental updates must never change arithmetic, only residency
+    /// and row coverage, so all three run exactly this op sequence.
+    /// Returns the block (one row per `lp.pins` entry) and, when the level
+    /// has cell arcs, the concatenated cell messages in group order (input
+    /// of the cell-delay head).
     ///
-    /// `blocks[sl]` must be `Some` for every source level `sl` this level
-    /// reads — the partition plan's `last_use` guarantees it on the
-    /// streamed path.
-    fn compute_level(
+    /// `lp` may be a whole level of the plan or a [`LevelPlan::restrict`]
+    /// sub-plan of it. `blocks[sl]` must be `Some` for every source level
+    /// `sl` this level reads — the partition plan's `last_use` guarantees
+    /// it on the streamed path.
+    ///
+    /// [`LevelPlan::restrict`]: crate::LevelPlan::restrict
+    pub(crate) fn compute_level(
         &self,
         design: &DesignGraph,
         lp: &crate::plan::LevelPlan,
@@ -226,12 +239,14 @@ impl Propagation {
     /// [`Propagation::forward`] that also captures the per-level state
     /// blocks and init projection for the incremental engine.
     ///
-    /// Keeps every block resident (the autograd graph needs them anyway).
-    /// Under a positive partition budget the walk is grouped into chunk
-    /// spans, level tensors draw from the buffer pool, and the final
-    /// assembly uses the fused [`Tensor::assemble_rows`] instead of
-    /// materializing the `[N, prop_dim]` concatenation — all bit-identical
-    /// to the monolithic path.
+    /// Keeps every block resident (the autograd graph needs them anyway)
+    /// and walks the levels chunk by chunk under
+    /// [`tp_partition::PartitionPlan::by_max_nodes`]; budget 0 is a
+    /// one-chunk plan. Under a positive budget level tensors also draw from
+    /// the buffer pool. The fused [`Tensor::assemble_rows`] builds the
+    /// `[N, prop_dim]` state matrix without materializing the block
+    /// concatenation — bit-identical to `concat_rows` + `gather_rows`,
+    /// gradients included.
     pub(crate) fn forward_traced(
         &self,
         design: &DesignGraph,
@@ -241,50 +256,28 @@ impl Propagation {
         let _prop_span = tp_obs::span!("levelized_prop", levels = plan.num_levels());
         let budget = tp_partition::partition_nodes();
         let _pool = (budget > 0).then(tp_tensor::pool::scope);
-        let x0 = self
-            .init
-            .forward(&Tensor::concat_cols(&[&design.pin_features, embedding]));
+        let x0 = self.init_states(&design.pin_features, embedding);
 
+        let pplan = tp_partition::PartitionPlan::by_max_nodes(&plan.level_graph(), budget);
+        pplan.publish("gnn.partition");
         let mut blocks: Vec<Option<Tensor>> = Vec::with_capacity(plan.num_levels());
         let mut edge_msgs: Vec<Tensor> = Vec::new();
-        let step = |l: usize, blocks: &mut Vec<Option<Tensor>>, msgs: &mut Vec<Tensor>| {
-            let (b, m) = self.compute_level(design, &plan.levels[l], l, &x0, blocks);
-            if let Some(m) = m {
-                msgs.push(m);
-            }
-            blocks.push(Some(b));
-        };
-        if budget == 0 {
-            for l in 0..plan.num_levels() {
-                step(l, &mut blocks, &mut edge_msgs);
-            }
-        } else {
-            let pplan =
-                tp_partition::PartitionPlan::by_max_nodes(&plan.level_graph(), budget);
-            pplan.publish("gnn.partition");
-            for (ci, chunk) in pplan.chunks().iter().enumerate() {
-                let _chunk_span = tp_obs::span!(
-                    "prop_chunk",
-                    chunk = ci,
-                    levels = chunk.levels.len(),
-                    nodes = chunk.nodes,
-                );
-                for l in chunk.levels.clone() {
-                    step(l, &mut blocks, &mut edge_msgs);
-                }
+        for (ci, chunk) in pplan.chunks().iter().enumerate() {
+            let _chunk_span = tp_obs::span!(
+                "prop_chunk",
+                chunk = ci,
+                levels = chunk.levels.len(),
+                nodes = chunk.nodes,
+            );
+            for l in chunk.levels.clone() {
+                let (b, m) = self.compute_level(design, &plan.levels[l], l, &x0, &blocks);
+                edge_msgs.extend(m);
+                blocks.push(Some(b));
             }
         }
-        let blocks: Vec<Tensor> = blocks
-            .into_iter()
-            .map(|b| b.expect("training path keeps every block"))
-            .collect();
 
-        let refs: Vec<&Tensor> = blocks.iter().collect();
-        let states = if budget == 0 {
-            Tensor::concat_rows(&refs).gather_rows(&plan.assemble)
-        } else {
-            Tensor::assemble_rows(&refs, &plan.assemble)
-        };
+        let refs: Vec<&Tensor> = blocks.iter().flatten().collect();
+        let states = Tensor::assemble_rows(&refs, &plan.assemble);
         let atslew = self.atslew_head.forward(&states);
         let cell_delay = if edge_msgs.is_empty() {
             Tensor::zeros(&[0, 4])
@@ -330,9 +323,7 @@ impl Propagation {
         let pplan = tp_partition::PartitionPlan::by_max_nodes(&plan.level_graph(), budget);
         pplan.publish("gnn.partition");
         let _pool = tp_tensor::pool::scope();
-        let x0 = self
-            .init
-            .forward(&Tensor::concat_cols(&[&design.pin_features, embedding]));
+        let x0 = self.init_states(&design.pin_features, embedding);
 
         let n = design.num_pins;
         let pd = self.prop_dim;

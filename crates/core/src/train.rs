@@ -294,17 +294,9 @@ impl EvalReport {
 
 /// Outcome of one guarded optimization step.
 struct StepOutcome {
-    /// Loss decomposition of the committed attempt; `None` when the retry
-    /// budget was exhausted and nothing was committed.
-    parts: Option<LossParts>,
-    /// Number of rollback + backoff events the step consumed.
-    rollbacks: u32,
-}
-
-/// Outcome of one guarded batch step (`design_batch` ≥ 2 or 0).
-struct BatchOutcome {
-    /// Per-design loss decompositions of the committed attempt, in batch
-    /// order; `None` when the retry budget was exhausted.
+    /// Per-design loss decompositions of the committed attempt, in step
+    /// order; `None` when the retry budget was exhausted and nothing was
+    /// committed.
     parts: Option<Vec<LossParts>>,
     /// Number of rollback + backoff events the step consumed.
     rollbacks: u32,
@@ -412,36 +404,98 @@ impl Trainer {
             .all(|p| p.data().iter().all(|v| v.is_finite()))
     }
 
-    /// One guarded step: a non-finite loss, gradient norm, or post-update
-    /// parameter never survives. The bad update is rolled back (or never
-    /// committed), the learning rate backs off by `guard.lr_backoff`, and
-    /// the step retries up to `guard.max_retries` times.
+    /// Per-design SGD gradients: one forward/backward on `design`, leaving
+    /// the gradients in the parameters' own slots.
+    fn design_grads(&self, design: &DesignGraph, plan: &PropPlan) -> Vec<LossParts> {
+        let pred = self.model.forward(design, plan);
+        let (loss, parts) = combined_loss(design, plan, &pred, self.config.aux);
+        self.optimizer.zero_grad();
+        loss.backward();
+        vec![parts]
+    }
+
+    /// Batch gradients: forward/backward for every design of the batch runs
+    /// concurrently on tp-par workers (leaf gradients diverted into
+    /// per-worker sinks by [`tp_tensor::collect_grads`]), and the
+    /// per-design gradients fold in [`GRAD_FOLD_BLOCK`]-sized blocks of
+    /// batch order into one mean gradient per parameter. Every parameter
+    /// gets a gradient, zeros where no design's tape reached it.
+    fn batch_grads(&self, designs: &[&DesignGraph], plans: &[PropPlan]) -> Vec<LossParts> {
+        let (model, params, aux) = (&self.model, &self.params, self.config.aux);
+        let units: u64 = designs.iter().map(|d| d.num_pins as u64).sum();
+        let results: Vec<(LossParts, Vec<Option<Vec<f32>>>)> =
+            tp_par::map_items_costed(&BATCH_COST, designs.len(), units, |i| {
+                tp_tensor::collect_grads(params, || {
+                    let pred = model.forward(designs[i], &plans[i]);
+                    let (loss, parts) = combined_loss(designs[i], &plans[i], &pred, aux);
+                    loss.backward();
+                    parts
+                })
+            });
+        // Fold per-design gradients into the shared slots: fixed block
+        // size, block-index order — bit-identical at any thread count.
+        let scale = 1.0 / designs.len() as f32;
+        for (pi, p) in params.iter().enumerate() {
+            let folded = tp_par::reduce_blocks(
+                designs.len(),
+                GRAD_FOLD_BLOCK,
+                |range| {
+                    let mut acc = vec![0.0f32; p.numel()];
+                    for d in range {
+                        if let Some(g) = &results[d].1[pi] {
+                            for (a, &v) in acc.iter_mut().zip(g) {
+                                *a += v;
+                            }
+                        }
+                    }
+                    acc
+                },
+                |mut a, b| {
+                    for (x, &y) in a.iter_mut().zip(&b) {
+                        *x += y;
+                    }
+                    a
+                },
+            );
+            let mut mean = folded.unwrap_or_else(|| vec![0.0; p.numel()]);
+            for v in &mut mean {
+                *v *= scale;
+            }
+            p.replace_grad(mean);
+        }
+        results.into_iter().map(|(p, _)| p).collect()
+    }
+
+    /// One guarded step around the gradient producer `grads`: a non-finite
+    /// loss, gradient norm, or post-update parameter never survives. The
+    /// bad update is rolled back (or never committed), the learning rate
+    /// backs off by `guard.lr_backoff`, and the step retries up to
+    /// `guard.max_retries` times. `name` labels the step's divergence
+    /// events.
     fn guarded_step(
         &mut self,
-        design: &DesignGraph,
+        name: &str,
         epoch: usize,
-        guard: &GuardPolicy,
-        faults: &FaultPlan,
+        options: &FitOptions,
         events: &mut Vec<DivergenceEvent>,
+        grads: impl Fn(&Trainer) -> Vec<LossParts>,
     ) -> StepOutcome {
-        let plan = self.plan_for(design);
+        let guard = &options.guard;
         let step_id = self.step_count;
         self.step_count += 1;
         let first_event = events.len();
         let mut rollbacks = 0u32;
         loop {
-            let pred = self.model.forward(design, &plan);
-            let (loss, parts) = combined_loss(design, &plan, &pred, self.config.aux);
-            self.optimizer.zero_grad();
-            loss.backward();
+            let parts = grads(self);
             // Transient faults hit a step once; the post-rollback retry
             // recomputes clean gradients, as after a real bit flip.
-            if rollbacks == 0 && faults.injects_nan_grad(step_id) {
+            if rollbacks == 0 && options.faults.injects_nan_grad(step_id) {
                 let p0 = &self.params[0];
                 p0.replace_grad(vec![f32::NAN; p0.numel()]);
             }
             let norm = clip_grad_norm(&self.params, self.config.grad_clip);
-            if parts.total.is_finite() && norm.is_finite() {
+            let total: f32 = parts.iter().map(|p| p.total).sum();
+            if total.is_finite() && norm.is_finite() {
                 let snapshot = self.snapshot_params();
                 let opt_state = self.optimizer.export_state();
                 self.optimizer.step();
@@ -463,198 +517,41 @@ impl Trainer {
             }
             self.optimizer.zero_grad();
             let lr_before = self.optimizer.lr();
-            if rollbacks >= guard.max_retries {
-                tp_obs::event!(
-                    "train.divergence",
-                    epoch = epoch,
-                    step = step_id,
-                    design = design.name.as_str(),
-                    attempt = rollbacks + 1,
-                    lr_before = lr_before,
-                    lr_after = lr_before,
-                    exhausted = true,
-                );
-                events.push(DivergenceEvent {
-                    epoch,
-                    step: step_id,
-                    design: design.name.clone(),
-                    attempt: rollbacks + 1,
-                    lr_before,
-                    lr_after: lr_before,
-                    recovered: false,
-                });
+            let exhausted = rollbacks >= guard.max_retries;
+            let lr_after = if exhausted {
+                lr_before
+            } else {
+                rollbacks += 1;
+                (lr_before * guard.lr_backoff).max(guard.min_lr)
+            };
+            let attempt = if exhausted { rollbacks + 1 } else { rollbacks };
+            tp_obs::event!(
+                "train.divergence",
+                epoch = epoch,
+                step = step_id,
+                design = name,
+                attempt = attempt,
+                lr_before = lr_before,
+                lr_after = lr_after,
+                exhausted = exhausted,
+            );
+            events.push(DivergenceEvent {
+                epoch,
+                step: step_id,
+                design: name.to_string(),
+                attempt,
+                lr_before,
+                lr_after,
+                recovered: false,
+            });
+            if exhausted {
                 return StepOutcome {
                     parts: None,
                     rollbacks,
                 };
             }
-            let lr_after = (lr_before * guard.lr_backoff).max(guard.min_lr);
             self.optimizer.set_lr(lr_after);
-            rollbacks += 1;
-            tp_obs::event!(
-                "train.divergence",
-                epoch = epoch,
-                step = step_id,
-                design = design.name.as_str(),
-                attempt = rollbacks,
-                lr_before = lr_before,
-                lr_after = lr_after,
-                exhausted = false,
-            );
             tp_obs::metrics::count("train.rollbacks", 1);
-            events.push(DivergenceEvent {
-                epoch,
-                step: step_id,
-                design: design.name.clone(),
-                attempt: rollbacks,
-                lr_before,
-                lr_after,
-                recovered: false,
-            });
-        }
-    }
-
-    /// One guarded *batch* step: forward/backward for every design of the
-    /// batch runs concurrently on tp-par workers (leaf gradients diverted
-    /// into per-worker sinks by [`tp_tensor::collect_grads`]), the
-    /// per-design gradients fold in [`GRAD_FOLD_BLOCK`]-sized blocks of
-    /// batch order, and one mean-gradient Adam step commits — under the
-    /// same divergence guard as [`Trainer::guarded_step`].
-    fn guarded_batch_step(
-        &mut self,
-        designs: &[&DesignGraph],
-        epoch: usize,
-        guard: &GuardPolicy,
-        faults: &FaultPlan,
-        events: &mut Vec<DivergenceEvent>,
-    ) -> BatchOutcome {
-        let plans: Vec<PropPlan> = designs.iter().map(|d| self.plan_for(d)).collect();
-        let step_id = self.step_count;
-        self.step_count += 1;
-        let first_event = events.len();
-        let mut rollbacks = 0u32;
-        let batch_name = if designs.len() == 1 {
-            designs[0].name.clone()
-        } else {
-            format!("{}(+{} more)", designs[0].name, designs.len() - 1)
-        };
-        let units: u64 = designs.iter().map(|d| d.num_pins as u64).sum();
-        loop {
-            let (model, params, aux) = (&self.model, &self.params, self.config.aux);
-            let results: Vec<(LossParts, Vec<Option<Vec<f32>>>)> =
-                tp_par::map_items_costed(&BATCH_COST, designs.len(), units, |i| {
-                    tp_tensor::collect_grads(params, || {
-                        let pred = model.forward(designs[i], &plans[i]);
-                        let (loss, parts) = combined_loss(designs[i], &plans[i], &pred, aux);
-                        loss.backward();
-                        parts
-                    })
-                });
-            // Fold per-design gradients into the shared slots: fixed block
-            // size, block-index order — bit-identical at any thread count.
-            let scale = 1.0 / designs.len() as f32;
-            for (pi, p) in self.params.iter().enumerate() {
-                let folded = tp_par::reduce_blocks(
-                    designs.len(),
-                    GRAD_FOLD_BLOCK,
-                    |range| {
-                        let mut acc = vec![0.0f32; p.numel()];
-                        for d in range {
-                            if let Some(g) = &results[d].1[pi] {
-                                for (a, &v) in acc.iter_mut().zip(g) {
-                                    *a += v;
-                                }
-                            }
-                        }
-                        acc
-                    },
-                    |mut a, b| {
-                        for (x, &y) in a.iter_mut().zip(&b) {
-                            *x += y;
-                        }
-                        a
-                    },
-                );
-                let mut mean = folded.unwrap_or_else(|| vec![0.0; p.numel()]);
-                for v in &mut mean {
-                    *v *= scale;
-                }
-                p.replace_grad(mean);
-            }
-            if rollbacks == 0 && faults.injects_nan_grad(step_id) {
-                let p0 = &self.params[0];
-                p0.replace_grad(vec![f32::NAN; p0.numel()]);
-            }
-            let norm = clip_grad_norm(&self.params, self.config.grad_clip);
-            let total: f32 = results.iter().map(|(p, _)| p.total).sum();
-            if total.is_finite() && norm.is_finite() {
-                let snapshot = self.snapshot_params();
-                let opt_state = self.optimizer.export_state();
-                self.optimizer.step();
-                if self.params_finite() {
-                    for e in &mut events[first_event..] {
-                        e.recovered = true;
-                    }
-                    return BatchOutcome {
-                        parts: Some(results.into_iter().map(|(p, _)| p).collect()),
-                        rollbacks,
-                    };
-                }
-                self.restore_params(&snapshot);
-                self.optimizer
-                    .import_state(opt_state)
-                    .expect("own snapshot always fits");
-            }
-            self.optimizer.zero_grad();
-            let lr_before = self.optimizer.lr();
-            if rollbacks >= guard.max_retries {
-                tp_obs::event!(
-                    "train.divergence",
-                    epoch = epoch,
-                    step = step_id,
-                    design = batch_name.as_str(),
-                    attempt = rollbacks + 1,
-                    lr_before = lr_before,
-                    lr_after = lr_before,
-                    exhausted = true,
-                );
-                events.push(DivergenceEvent {
-                    epoch,
-                    step: step_id,
-                    design: batch_name.clone(),
-                    attempt: rollbacks + 1,
-                    lr_before,
-                    lr_after: lr_before,
-                    recovered: false,
-                });
-                return BatchOutcome {
-                    parts: None,
-                    rollbacks,
-                };
-            }
-            let lr_after = (lr_before * guard.lr_backoff).max(guard.min_lr);
-            self.optimizer.set_lr(lr_after);
-            rollbacks += 1;
-            tp_obs::event!(
-                "train.divergence",
-                epoch = epoch,
-                step = step_id,
-                design = batch_name.as_str(),
-                attempt = rollbacks,
-                lr_before = lr_before,
-                lr_after = lr_after,
-                exhausted = false,
-            );
-            tp_obs::metrics::count("train.rollbacks", 1);
-            events.push(DivergenceEvent {
-                epoch,
-                step: step_id,
-                design: batch_name.clone(),
-                attempt: rollbacks,
-                lr_before,
-                lr_after,
-                recovered: false,
-            });
         }
     }
 
@@ -726,48 +623,42 @@ impl Trainer {
                 0 => train.len().max(1),
                 n => n,
             };
-            if batch_size <= 1 {
-                for design in &train {
-                    let _design_span = tp_obs::span!("design", design = design.name.as_str());
-                    let outcome =
-                        self.guarded_step(design, epoch, &options.guard, &options.faults, &mut report.divergences);
-                    tp_obs::metrics::count("train.steps", 1);
-                    agg.rollbacks += outcome.rollbacks as usize;
-                    match outcome.parts {
-                        Some(parts) => {
-                            agg.atslew += parts.atslew;
-                            agg.celld += parts.celld;
-                            agg.netd += parts.netd;
-                            agg.total += parts.total;
+            for batch in train.chunks(batch_size) {
+                let _step_span = if batch_size == 1 {
+                    tp_obs::span!("design", design = batch[0].name.as_str())
+                } else {
+                    tp_obs::span!("design_batch", designs = batch.len())
+                };
+                let plans: Vec<PropPlan> = batch.iter().map(|d| self.plan_for(d)).collect();
+                let name = match batch {
+                    [only] => only.name.clone(),
+                    _ => format!("{}(+{} more)", batch[0].name, batch.len() - 1),
+                };
+                // A batch of one stays per-design SGD: the batch fold hands
+                // every parameter a gradient, zeros where no tape reached,
+                // and Adam steps those, while per-design backward leaves
+                // them `None`, which Adam skips.
+                let events = &mut report.divergences;
+                let outcome = self.guarded_step(&name, epoch, options, events, |t| {
+                    if batch_size == 1 {
+                        t.design_grads(batch[0], &plans[0])
+                    } else {
+                        t.batch_grads(batch, &plans)
+                    }
+                });
+                tp_obs::metrics::count("train.steps", 1);
+                agg.rollbacks += outcome.rollbacks as usize;
+                match outcome.parts {
+                    Some(parts) => {
+                        for p in parts {
+                            agg.atslew += p.atslew;
+                            agg.celld += p.celld;
+                            agg.netd += p.netd;
+                            agg.total += p.total;
                             count += 1;
                         }
-                        None => agg.skipped += 1,
                     }
-                }
-            } else {
-                for batch in train.chunks(batch_size) {
-                    let _batch_span = tp_obs::span!("design_batch", designs = batch.len());
-                    let outcome = self.guarded_batch_step(
-                        batch,
-                        epoch,
-                        &options.guard,
-                        &options.faults,
-                        &mut report.divergences,
-                    );
-                    tp_obs::metrics::count("train.steps", 1);
-                    agg.rollbacks += outcome.rollbacks as usize;
-                    match outcome.parts {
-                        Some(parts) => {
-                            for p in parts {
-                                agg.atslew += p.atslew;
-                                agg.celld += p.celld;
-                                agg.netd += p.netd;
-                                agg.total += p.total;
-                                count += 1;
-                            }
-                        }
-                        None => agg.skipped += batch.len(),
-                    }
+                    None => agg.skipped += batch.len(),
                 }
             }
             let k = count.max(1) as f32;

@@ -1,5 +1,14 @@
-//! Minimal JSON utilities shared by the exporters: string escaping,
-//! number formatting and a dependency-free validity checker.
+//! Minimal JSON utilities shared by the exporters and the serving wire
+//! protocol: string escaping, number formatting, and the workspace's one
+//! JSON reader — a panic-free, depth-bounded value parser ([`parse`]) that
+//! [`validate`] also runs.
+//!
+//! The grammar is full JSON minus two deliberate bounds: nesting depth is
+//! capped at [`MAX_DEPTH`] (a hostile `[[[[…` cannot blow the stack) and
+//! numbers are parsed through `f64::from_str` and must be finite (integers
+//! above 2^53 lose precision, which no field needs). Every code path
+//! returns `Err` on malformed input — the serve fuzz suite feeds arbitrary
+//! bytes through [`parse`] and asserts it never panics.
 
 /// Escapes `s` as a JSON string literal (including the quotes).
 pub fn escape(s: &str) -> String {
@@ -31,177 +40,309 @@ pub fn fmt_f64(v: f64) -> String {
 }
 
 /// Validates that `s` is one complete JSON value (object, array, string,
-/// number, `true`/`false`/`null`) with nothing but whitespace after it.
+/// finite number, `true`/`false`/`null`) nested at most [`MAX_DEPTH`]
+/// deep, with nothing but whitespace after it.
 ///
 /// # Errors
 ///
-/// Returns a message naming the byte offset of the first violation.
+/// Returns [`parse`]'s message naming the offset of the first violation.
 pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+    parse(s).map(|_| ())
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Maximum nesting depth accepted by [`parse`].
+pub const MAX_DEPTH: usize = 64;
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonValue {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any number (always held as `f64`).
+    Num(f64),
+    /// A string (escapes decoded).
+    Str(String),
+    /// An array.
+    Arr(Vec<JsonValue>),
+    /// An object, fields in source order (later duplicates win on
+    /// [`JsonValue::get`] lookups only by being found first — we keep the
+    /// first occurrence, matching a strict reading).
+    Obj(Vec<(String, JsonValue)>),
 }
 
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}", pos = *pos)),
-        None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("malformed literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
+impl JsonValue {
+    /// Object field lookup (first occurrence).
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
         }
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
+    }
+
+    /// The value as a string slice, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::Str(s) => Some(s),
+            _ => None,
         }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
+    }
+
+    /// The value as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value as an `f64`, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer, if it is one exactly.
+    pub fn as_u64(&self) -> Option<u64> {
+        // `u64::MAX as f64` rounds up to 2^64, one past the largest u64,
+        // so the bound is strict.
+        match self {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
+                Some(*n as u64)
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice, if it is one.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Arr(items) => Some(items),
+            _ => None,
         }
     }
 }
 
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
+/// Parses one JSON document; trailing non-whitespace is an error.
+pub fn parse(input: &str) -> Result<JsonValue, String> {
+    let bytes = input.as_bytes();
+    let mut pos = 0usize;
+    let value = parse_value(bytes, &mut pos, 0)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing bytes at offset {pos}"));
+    }
+    Ok(value)
+}
+
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while let Some(&b) = bytes.get(*pos) {
+        if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
+            *pos += 1;
+        } else {
+            break;
+        }
+    }
+}
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH}"));
+    }
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        None => Err("unexpected end of input".to_string()),
+        Some(b'{') => parse_object(bytes, pos, depth),
+        Some(b'[') => parse_array(bytes, pos, depth),
+        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
+        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
+        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
+        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
+        Some(_) => parse_number(bytes, pos),
+    }
+}
+
+fn parse_literal(
+    bytes: &[u8],
+    pos: &mut usize,
+    lit: &str,
+    value: JsonValue,
+) -> Result<JsonValue, String> {
+    if bytes[*pos..].starts_with(lit.as_bytes()) {
+        *pos += lit.len();
+        Ok(value)
+    } else {
+        Err(format!("invalid literal at offset {pos}", pos = *pos))
+    }
+}
+
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+    let start = *pos;
+    if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
-        return Ok(());
+    }
+    while matches!(bytes.get(*pos), Some(b) if b.is_ascii_digit()) {
+        *pos += 1;
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        while matches!(bytes.get(*pos), Some(b) if b.is_ascii_digit()) {
+            *pos += 1;
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e') | Some(b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+') | Some(b'-')) {
+            *pos += 1;
+        }
+        while matches!(bytes.get(*pos), Some(b) if b.is_ascii_digit()) {
+            *pos += 1;
+        }
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos])
+        .map_err(|_| "non-utf8 number".to_string())?;
+    // Reject the shapes from_str accepts but JSON does not.
+    if text.is_empty()
+        || text == "-"
+        || text.ends_with('.')
+        || text.ends_with(['e', 'E', '+', '-'])
+        || text.contains(".e")
+        || text.contains(".E")
+        || text.starts_with('.')
+        || text.starts_with("-.")
+    {
+        return Err(format!("invalid number at offset {start}"));
+    }
+    let v: f64 = text
+        .parse()
+        .map_err(|_| format!("invalid number at offset {start}"))?;
+    if !v.is_finite() {
+        return Err(format!("non-finite number at offset {start}"));
+    }
+    Ok(JsonValue::Num(v))
+}
+
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
+    *pos += 1;
+    let mut out = String::new();
+    loop {
+        match bytes.get(*pos) {
+            None => return Err("unterminated string".to_string()),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(out);
+            }
+            Some(b'\\') => {
+                *pos += 1;
+                match bytes.get(*pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let hex = bytes
+                            .get(*pos + 1..*pos + 5)
+                            .ok_or("truncated \\u escape")?;
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // would also take a sign, as in `\u+041`.
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return Err("invalid \\u escape".to_string());
+                        }
+                        let hex =
+                            std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
+                        let code = u32::from_str_radix(hex, 16)
+                            .map_err(|_| "invalid \\u escape")?;
+                        // Surrogates are replaced rather than paired — no
+                        // request field carries astral-plane text.
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        *pos += 4;
+                    }
+                    _ => return Err("invalid escape".to_string()),
+                }
+                *pos += 1;
+            }
+            Some(&b) if b < 0x20 => return Err("control byte in string".to_string()),
+            Some(_) => {
+                // Copy the run up to the next quote, escape or control
+                // byte. Those are ASCII, so the run ends on a UTF-8
+                // boundary of the input &str.
+                let start = *pos;
+                while matches!(bytes.get(*pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                    *pos += 1;
+                }
+                let run =
+                    std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 string")?;
+                out.push_str(run);
+            }
+        }
+    }
+}
+
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    *pos += 1; // '['
+    let mut items = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(JsonValue::Arr(items));
     }
     loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
+        items.push(parse_value(bytes, pos, depth + 1)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => {
+                *pos += 1;
+            }
             Some(b']') => {
                 *pos += 1;
-                return Ok(());
+                return Ok(JsonValue::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+            _ => return Err(format!("expected ',' or ']' at offset {pos}", pos = *pos)),
         }
     }
 }
 
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // consume '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    *pos += 1; // '{'
+    let mut fields = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(JsonValue::Obj(fields));
+    }
+    loop {
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(format!("expected object key at offset {pos}", pos = *pos));
+        }
+        let key = parse_string(bytes, pos)?;
+        skip_ws(bytes, pos);
+        if bytes.get(*pos) != Some(&b':') {
+            return Err(format!("expected ':' at offset {pos}", pos = *pos));
+        }
+        *pos += 1;
+        let value = parse_value(bytes, pos, depth + 1)?;
+        fields.push((key, value));
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => {
                 *pos += 1;
-                return Ok(());
             }
-            b'\\' => {
-                match b.get(*pos + 1) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 2..*pos + 6).ok_or_else(|| {
-                            format!("truncated \\u escape at byte {pos}", pos = *pos)
-                        })?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return Err(format!("bad \\u escape at byte {pos}", pos = *pos));
-                        }
-                        *pos += 6;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(JsonValue::Obj(fields));
             }
-            c if c < 0x20 => {
-                return Err(format!("raw control byte in string at {pos}", pos = *pos))
-            }
-            _ => *pos += 1,
+            _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
         }
     }
-    Err("unterminated string".to_string())
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let mut digits = 0;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-        digits += 1;
-    }
-    if digits == 0 {
-        return Err(format!("malformed number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let mut frac = 0;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-            frac += 1;
-        }
-        if frac == 0 {
-            return Err(format!("malformed fraction at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let mut exp = 0;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-            exp += 1;
-        }
-        if exp == 0 {
-            return Err(format!("malformed exponent at byte {start}"));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -245,6 +386,52 @@ mod tests {
         let s = escape("a\"b\\c\nd\u{1}e");
         validate(&s).unwrap();
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001e\"");
+    }
+
+    #[test]
+    fn as_u64_rejects_two_to_the_64() {
+        // 2^64 itself used to pass `<= u64::MAX as f64` and saturate.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("1e20").unwrap().as_u64(), None);
+        // The largest f64 below 2^64 is still an exact u64.
+        assert_eq!(
+            parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
+        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        // `u32::from_str_radix` takes a leading sign; the escape must not.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04G1""#, r#""\u041""#] {
+            assert!(parse(bad).is_err(), "parse must reject {bad}");
+            assert!(validate(bad).is_err(), "validate must reject {bad}");
+        }
+        assert_eq!(parse(r#""\u004a\u004A""#).unwrap().as_str(), Some("JJ"));
+    }
+
+    #[test]
+    fn validate_bounds_depth_and_rejects_non_finite_numbers() {
+        assert!(validate("1e999").is_err());
+        assert!(validate("[-1e400]").is_err());
+        let deep = "[".repeat(MAX_DEPTH + 8) + &"]".repeat(MAX_DEPTH + 8);
+        assert!(validate(&deep).is_err());
+        // Deep enough to overflow an unbounded recursive checker.
+        let hostile = "[".repeat(1 << 20);
+        assert!(validate(&hostile).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let s = "é".repeat(200_000);
+        let doc = format!("{{\"k\": \"{s}\"}}");
+        assert_eq!(
+            parse(&doc).unwrap().get("k").and_then(JsonValue::as_str),
+            Some(s.as_str())
+        );
     }
 
     #[test]

@@ -263,8 +263,8 @@ static PARTITION_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
 /// The active partition budget in nodes: the [`set_partition_nodes`]
 /// override if set, else `TP_PARTITION_NODES`, else `0`.
 ///
-/// `0` disables partitioning — executors take their monolithic path,
-/// byte-for-byte the pre-partition code.
+/// `0` means no budget: [`PartitionPlan::by_max_nodes`] returns the whole
+/// graph as one chunk, and no-grad GNN inference does not stream.
 pub fn partition_nodes() -> usize {
     let over = PARTITION_OVERRIDE.load(Ordering::Relaxed);
     if over != usize::MAX {

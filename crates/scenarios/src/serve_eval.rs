@@ -21,7 +21,8 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use tp_gnn::{PropPlan, TimingGnn};
-use tp_serve::{register_line, Client, JsonValue, RegisterSpec};
+use tp_obs::json::JsonValue;
+use tp_serve::{register_line, Client, RegisterSpec};
 
 use crate::engine::CellCtx;
 use crate::grid::{CellSpec, CornerSet};
@@ -116,7 +117,7 @@ pub fn prediction_evaluator(
 }
 
 fn parse_reply(reply: &str, context: &str) -> JsonValue {
-    let v = tp_serve::json::parse(reply)
+    let v = tp_obs::json::parse(reply)
         .unwrap_or_else(|e| panic!("{context}: unparseable reply {reply:?}: {e}"));
     if v.get("ok").and_then(JsonValue::as_bool) != Some(true) {
         panic!("{context}: server refused: {reply}");

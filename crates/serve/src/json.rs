@@ -1,299 +1,8 @@
-//! A minimal, panic-free JSON value parser for the wire protocol.
-//!
-//! `tp-obs` ships a JSON *validator* and emit helpers but no value parser,
-//! and the workspace is hermetic, so the request codec parses its own
-//! input. The grammar is full JSON minus two deliberate bounds: nesting
-//! depth is capped (a hostile `[[[[…` cannot blow the stack) and numbers
-//! are parsed through `f64::from_str` (integers above 2^53 lose
-//! precision, which no request field needs).
-//!
-//! Every code path returns `Err` on malformed input — the fuzz suite
-//! feeds arbitrary bytes through [`parse`] and asserts it never panics.
+//! The wire protocol's JSON reader: the workspace's one depth-bounded,
+//! panic-free parser, which lives in [`tp_obs::json`] so the exporters'
+//! `validate` runs the same code. Re-exported here for protocol users.
 
-/// Maximum nesting depth accepted by [`parse`].
-pub const MAX_DEPTH: usize = 64;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (always held as `f64`).
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, fields in source order (later duplicates win on
-    /// [`JsonValue::get`] lookups only by being found first — we keep the
-    /// first occurrence, matching a strict reading).
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Object field lookup (first occurrence).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(&b) = bytes.get(*pos) {
-        if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-            *pos += 1;
-        } else {
-            break;
-        }
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH}"));
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos, depth),
-        Some(b'[') => parse_array(bytes, pos, depth),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    lit: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at offset {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(bytes.get(*pos), Some(b) if b.is_ascii_digit()) {
-        *pos += 1;
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        while matches!(bytes.get(*pos), Some(b) if b.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        while matches!(bytes.get(*pos), Some(b) if b.is_ascii_digit()) {
-            *pos += 1;
-        }
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| "non-utf8 number".to_string())?;
-    // Reject the shapes from_str accepts but JSON does not.
-    if text.is_empty()
-        || text == "-"
-        || text.ends_with('.')
-        || text.ends_with(['e', 'E', '+', '-'])
-        || text.contains(".e")
-        || text.contains(".E")
-        || text.starts_with('.')
-        || text.starts_with("-.")
-    {
-        return Err(format!("invalid number at offset {start}"));
-    }
-    let v: f64 = text
-        .parse()
-        .map_err(|_| format!("invalid number at offset {start}"))?;
-    if !v.is_finite() {
-        return Err(format!("non-finite number at offset {start}"));
-    }
-    Ok(JsonValue::Num(v))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "invalid \\u escape")?;
-                        // Surrogates are replaced rather than paired — no
-                        // request field carries astral-plane text.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("invalid escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x20 => return Err("control byte in string".to_string()),
-            Some(_) => {
-                // Copy one UTF-8 scalar; the input is a &str so boundaries
-                // are sound.
-                let s = &bytes[*pos..];
-                let text = std::str::from_utf8(s).map_err(|_| "non-utf8 string")?;
-                let ch = text.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth + 1)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // '{'
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => {
-                *pos += 1;
-            }
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
-        }
-    }
-}
+pub use tp_obs::json::{parse, JsonValue, MAX_DEPTH};
 
 #[cfg(test)]
 mod tests {

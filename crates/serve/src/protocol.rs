@@ -489,6 +489,20 @@ mod tests {
     }
 
     #[test]
+    fn register_rejects_a_seed_past_u64_max() {
+        // 2^64 rounds to `u64::MAX as f64`; it used to build seed 2^64 - 1.
+        let err = parse_request(r#"{"op":"register","design":"spm","seed":18446744073709551616}"#)
+            .expect_err("seed 2^64 does not fit a u64");
+        assert!(err.contains("seed"), "diagnostic names the field: {err}");
+        let e = parse_request(r#"{"op":"register","design":"spm","seed":18446744073709549568}"#)
+            .expect("the largest f64 below 2^64 is a valid seed");
+        match e.request {
+            Request::Register { spec } => assert_eq!(spec.seed, 18_446_744_073_709_549_568),
+            other => panic!("wrong request: {other:?}"),
+        }
+    }
+
+    #[test]
     fn register_line_roundtrips_through_the_parser() {
         let spec = RegisterSpec {
             name: "c9".into(),

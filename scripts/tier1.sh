@@ -9,38 +9,34 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier1: release build (all targets, offline) =="
+# Prints each step's banner and the wall clock of the step before it.
+STEP=""
+STEP_START=$SECONDS
+step() {
+    if [ -n "$STEP" ]; then
+        echo "   ($STEP: $((SECONDS - STEP_START))s)"
+    fi
+    STEP="$1"
+    STEP_START=$SECONDS
+    [ -z "$STEP" ] || echo "== tier1: $STEP =="
+}
+
+step "release build (all targets, offline)"
 cargo build --workspace --release --offline --all-targets
 
-echo "== tier1: tests (offline, single-threaded pool) =="
+# Every suite runs in both workspace passes: unit and integration tests of
+# every member crate and of the root package (fault tolerance,
+# determinism, fuzzing, observability goldens, sweeps, partitioning,
+# serving and batching included).
+step "tests (offline, single-threaded pool)"
 TP_THREADS=1 cargo test -q --workspace --offline
 
-echo "== tier1: tests (offline, 4-thread pool) =="
+step "tests (offline, 4-thread pool)"
 # Same suite again with the tp-par pool active: every test asserting exact
 # bits must pass at both thread counts — that is the determinism contract.
 TP_THREADS=4 cargo test -q --workspace --offline
 
-echo "== tier1: fault-tolerance suite (release) =="
-cargo test -q --offline --release --test fault_tolerance
-cargo test -q --offline --release --test determinism
-cargo test -q -p tp-io --offline --release --test parser_fuzz
-
-echo "== tier1: observability suite (release) =="
-cargo test -q -p tp-obs --offline --release
-cargo test -q -p tp-obs --offline --release --test golden
-cargo test -q --offline --release --test observability
-
-echo "== tier1: scenario sweep suite (release) =="
-cargo test -q -p tp-scenarios --offline --release
-cargo test -q --offline --release --test scenarios
-
-echo "== tier1: partitioned-execution suite (release) =="
-cargo test -q -p tp-partition --offline --release
-# Bit-identity of partitioned vs monolithic execution — the tp-partition
-# contract — across chunk budgets and thread counts, GNN and STA.
-cargo test -q --offline --release --test partition
-
-echo "== tier1: partitioned training smoke (TP_SCALE=0.05 example) =="
+step "partitioned training smoke (TP_SCALE=0.05 example)"
 # The training example, chunked: the whole fit must run under a live-node
 # budget and still converge to a finite loss. Exercises the pooled
 # allocator and the partitioned grad path end to end.
@@ -50,19 +46,7 @@ if ! TP_PARTITION_NODES=4096 \
     exit 1
 fi
 
-echo "== tier1: serving suite (release) =="
-cargo test -q -p tp-serve --offline --release
-cargo test -q -p tp-serve --offline --release --test fuzz_codec
-cargo test -q -p tp-serve --offline --release --test robustness
-cargo test -q --offline --release --test serve
-
-echo "== tier1: batching equivalence suite (release, both pool widths) =="
-# Coalesced replies must be bit-identical to serial ones at every batch
-# window and thread count — the batching determinism contract.
-TP_THREADS=1 cargo test -q -p tp-serve --offline --release --test batching
-TP_THREADS=4 cargo test -q -p tp-serve --offline --release --test batching
-
-echo "== tier1: serve loopback smoke (example, scratch dir) =="
+step "serve loopback smoke (example, scratch dir)"
 # Boot a real server on an ephemeral port and drive the full lifecycle —
 # ping, predict, slack, checkpoint hot-swap, ECO move, stats, drain. The
 # example exits nonzero on any protocol violation.
@@ -74,7 +58,7 @@ if ! cargo run -q --offline --release --example serve_demo "$SERVE_SCRATCH/demo"
 fi
 rm -rf "$SERVE_SCRATCH"
 
-echo "== tier1: sweep kill/resume smoke (example, scratch dir) =="
+step "sweep kill/resume smoke (example, scratch dir)"
 # The example runs an uninterrupted sweep, a killed one, and a resumed
 # one, and exits nonzero unless journal and report come back
 # byte-identical — the crash-safety contract, exercised end to end.
@@ -87,7 +71,7 @@ if ! TP_SWEEP_OUT="$SWEEP_SCRATCH/demo" \
 fi
 rm -rf "$SWEEP_SCRATCH"
 
-echo "== tier1: sweep-through-serve smoke (example, scratch dir) =="
+step "sweep-through-serve smoke (example, scratch dir)"
 # The same grid evaluated in-process and streamed through a live batched
 # server over JSONL; exits nonzero unless journal and report come back
 # byte-identical — the serve-streaming contract, exercised end to end.
@@ -100,35 +84,35 @@ if ! TP_SWEEP_OUT="$SERVE_SWEEP_SCRATCH/demo" \
 fi
 rm -rf "$SERVE_SWEEP_SCRATCH"
 
-echo "== tier1: clippy (warnings are errors) =="
+step "clippy (warnings are errors)"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
-echo "== tier1: hermeticity (no external crates in any manifest) =="
+step "hermeticity (no external crates in any manifest)"
 if grep -rn 'rand\|proptest\|criterion' Cargo.toml crates/*/Cargo.toml; then
     echo "tier1: FAIL — external dependency reference found above" >&2
     exit 1
 fi
 
-echo "== tier1: hermeticity (no external crates in any source tree) =="
+step "hermeticity (no external crates in any source tree)"
 if grep -rEn 'extern crate|use (rand|proptest|criterion|tempfile|serde)\b|(^|[^_[:alnum:]])(rand|proptest|criterion|tempfile|serde)::' \
     src tests crates/*/src crates/*/tests 2>/dev/null; then
     echo "tier1: FAIL — external crate usage found in sources above" >&2
     exit 1
 fi
 
-echo "== tier1: hermeticity (tp-obs stays dependency-free) =="
+step "hermeticity (tp-obs stays dependency-free)"
 if grep -n '^\[dependencies\]' crates/obs/Cargo.toml; then
     echo "tier1: FAIL — tp-obs must not grow a [dependencies] section" >&2
     exit 1
 fi
 
-echo "== tier1: hermeticity (tp-par stays dependency-free) =="
+step "hermeticity (tp-par stays dependency-free)"
 if grep -n '^\[dependencies\]' crates/par/Cargo.toml; then
     echo "tier1: FAIL — tp-par must not grow a [dependencies] section" >&2
     exit 1
 fi
 
-echo "== tier1: hermeticity (tp-partition depends on workspace crates only) =="
+step "hermeticity (tp-partition depends on workspace crates only)"
 if sed -n '/^\[dependencies\]/,$p' crates/partition/Cargo.toml \
     | grep -E '^[a-z0-9_-]+ *=' | grep -v '^tp-[a-z-]* *= *{ *workspace = true' \
     | grep -v '^tp-[a-z-]*\.workspace *= *true'; then
@@ -136,7 +120,7 @@ if sed -n '/^\[dependencies\]/,$p' crates/partition/Cargo.toml \
     exit 1
 fi
 
-echo "== tier1: autograd tape stays Arc-based (no Rc in the tape) =="
+step "autograd tape stays Arc-based (no Rc in the tape)"
 # The tape must remain Send + Sync so per-design gradients can evaluate on
 # pool workers. An Rc sneaking back into the tensor core would compile fine
 # single-threaded and then poison every parallel training path.
@@ -145,10 +129,10 @@ if grep -n 'Rc<' crates/tensor/src/tensor.rs crates/tensor/src/autograd.rs; then
     exit 1
 fi
 
-echo "== tier1: bench harness smoke (scratch dir, fast samples) =="
+step "bench harness smoke (scratch dir, fast samples)"
 scripts/bench.sh --smoke
 
-echo "== tier1: NaN-safe ordering (no Ordering::Equal fallbacks) =="
+step "NaN-safe ordering (no Ordering::Equal fallbacks)"
 # partial_cmp(..).unwrap_or(Equal) silently makes NaN compare equal to
 # everything, which turns sorts nondeterministic. total_cmp is the fix;
 # this grep keeps the pattern from coming back.
@@ -158,7 +142,7 @@ if grep -rEn 'unwrap_or\((std::cmp::)?Ordering::Equal\)' \
     exit 1
 fi
 
-echo "== tier1: observability artifacts (none by default, all under TP_OBS) =="
+step "observability artifacts (none by default, all under TP_OBS)"
 OBS_SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$OBS_SCRATCH"' EXIT
 PROFILE_RUN="$PWD/target/release/examples/profile_run"
@@ -175,4 +159,5 @@ for artifact in trace.json events.jsonl run_report.json; do
     fi
 done
 
-echo "tier1: OK"
+step ""
+echo "tier1: OK (${SECONDS}s)"
