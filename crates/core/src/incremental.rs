@@ -121,7 +121,7 @@ pub struct IncrementalGnn {
     /// Init projection `[N × prop_dim]`.
     x0: Tensor,
     /// Per-level state blocks, all resident.
-    blocks: Vec<Option<Tensor>>,
+    blocks: Vec<Tensor>,
     /// Arrival‖slew head output `[N × 8]`.
     atslew: Tensor,
     /// Net-delay head output `[N × 4]`.
@@ -443,7 +443,7 @@ impl IncrementalGnn {
             stats.recomputed_state_rows += rows.len();
             let sub = self.plan.levels[l].restrict(&rows);
             let (fresh, msgs) = prop.compute_level(design, &sub, l, &self.x0, &self.blocks);
-            let block = self.blocks[l].as_ref().expect("every level stays resident");
+            let block = &self.blocks[l];
             changed[l] = write_rows(block, &rows, &fresh);
             stats.changed_state_rows += changed[l].len();
 
@@ -719,7 +719,7 @@ mod tests {
         let mut inc = IncrementalGnn::new(model, d, p);
         let assert_no_tape = |inc: &IncrementalGnn| {
             let mut cached: Vec<&Tensor> = inc.embed_h.iter().chain(&inc.embed_su).collect();
-            cached.extend(inc.blocks.iter().flatten());
+            cached.extend(&inc.blocks);
             cached.extend([
                 &inc.embedding,
                 &inc.x0,

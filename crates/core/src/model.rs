@@ -179,12 +179,6 @@ impl TimingGnn {
     }
 
     /// Full forward pass.
-    ///
-    /// Inside [`tp_tensor::no_grad`] with a positive
-    /// [`tp_partition::partition_nodes`] budget, the propagation stage
-    /// streams chunk-by-chunk with bounded live memory (see
-    /// [`Propagation::forward`]); the outputs are bit-identical to the
-    /// monolithic pass.
     pub fn forward(&self, design: &DesignGraph, plan: &PropPlan) -> Prediction {
         let embedding = self.embedding(design, |_, _| {});
         let net_delay = self.net_embed.net_delay(&embedding);

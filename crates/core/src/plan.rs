@@ -181,19 +181,10 @@ impl PropPlan {
         self.levels.len()
     }
 
-    /// The level-granularity dependency view of this plan, for building
-    /// [`tp_partition::PartitionPlan`]s: per-level pin counts plus one
-    /// `(src_level, dst_level)` entry per edge group. A level's state must
-    /// stay resident until the last level whose groups read it.
-    pub fn level_graph(&self) -> tp_partition::LevelGraph {
-        let sizes: Vec<usize> = self.levels.iter().map(|l| l.pins.len()).collect();
-        let mut deps = Vec::new();
-        for (l, lp) in self.levels.iter().enumerate() {
-            for g in lp.net_groups.iter().chain(&lp.cell_groups) {
-                deps.push((g.src_level, l));
-            }
-        }
-        tp_partition::LevelGraph::new(sizes, deps)
+    /// Pins per level: the level sizes
+    /// [`tp_partition::PartitionPlan::by_max_nodes`] packs into chunks.
+    pub fn level_graph(&self) -> Vec<usize> {
+        self.levels.iter().map(|l| l.pins.len()).collect()
     }
 }
 

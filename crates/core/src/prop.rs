@@ -51,9 +51,8 @@ pub struct Propagation {
 pub(crate) struct PropTrace {
     /// `init` MLP output `[N, prop_dim]` in pin order.
     pub x0: Tensor,
-    /// Per-level state blocks, `[levelₗ.pins.len(), prop_dim]` each; every
-    /// one is `Some` (the shape [`Propagation::compute_level`] reads).
-    pub blocks: Vec<Option<Tensor>>,
+    /// Per-level state blocks, `[levelₗ.pins.len(), prop_dim]` each.
+    pub blocks: Vec<Tensor>,
 }
 
 impl Propagation {
@@ -112,21 +111,13 @@ impl Propagation {
     /// Runs the levelized pass.
     ///
     /// `embedding` is the net-embedding output `[N, embed_dim]`; `plan`
-    /// must have been built from `design`.
-    ///
-    /// With a positive [`tp_partition::partition_nodes`] budget and the
-    /// autograd tape off (inference inside [`tp_tensor::no_grad`]), this
-    /// takes the streamed path: level blocks are released as soon as their
-    /// last reader chunk finishes, bounding live memory to the partition's
-    /// frontier. Results are bit-identical to the monolithic pass.
+    /// must have been built from `design`. Training, evaluation,
+    /// inference and the incremental engine all run this one pass.
     ///
     /// # Panics
     ///
     /// Panics if `plan` does not match `design`.
     pub fn forward(&self, design: &DesignGraph, plan: &PropPlan, embedding: &Tensor) -> PropOutput {
-        if tp_partition::partition_nodes() > 0 && !tp_tensor::grad_enabled() {
-            return self.forward_streamed(design, plan, embedding);
-        }
         self.forward_traced(design, plan, embedding).0
     }
 
@@ -137,18 +128,16 @@ impl Propagation {
             .forward(&Tensor::concat_cols(&[pin_features, embedding]))
     }
 
-    /// One level's state block, shared verbatim between the traced pass,
-    /// the streamed pass and the incremental engine — partitioning and
-    /// incremental updates must never change arithmetic, only residency
-    /// and row coverage, so all three run exactly this op sequence.
+    /// One level's state block, shared verbatim between the full pass and
+    /// the incremental engine — incremental updates must never change
+    /// arithmetic, only row coverage, so both run exactly this op sequence.
     /// Returns the block (one row per `lp.pins` entry) and, when the level
     /// has cell arcs, the concatenated cell messages in group order (input
     /// of the cell-delay head).
     ///
     /// `lp` may be a whole level of the plan or a [`LevelPlan::restrict`]
-    /// sub-plan of it. `blocks[sl]` must be `Some` for every source level
-    /// `sl` this level reads — the partition plan's `last_use` guarantees
-    /// it on the streamed path.
+    /// sub-plan of it. `blocks` holds the state block of every level below
+    /// `l`.
     ///
     /// [`LevelPlan::restrict`]: crate::LevelPlan::restrict
     pub(crate) fn compute_level(
@@ -157,7 +146,7 @@ impl Propagation {
         lp: &crate::plan::LevelPlan,
         l: usize,
         x0: &Tensor,
-        blocks: &[Option<Tensor>],
+        blocks: &[Tensor],
     ) -> (Tensor, Option<Tensor>) {
         let _level_span = tp_obs::span!("prop_level", level = l, pins = lp.pins.len());
         tp_obs::metrics::count("gnn.pins_propagated", lp.pins.len() as u64);
@@ -165,11 +154,6 @@ impl Propagation {
             return (x0.gather_rows(&lp.pins), None);
         }
         let k = lp.pins.len();
-        let block = |sl: usize| -> &Tensor {
-            blocks[sl]
-                .as_ref()
-                .expect("source level released before its last reader")
-        };
 
         // --- net propagation: driver state + wire geometry -> sink ---
         let net_block = if lp.net_groups.is_empty() {
@@ -178,7 +162,7 @@ impl Propagation {
             let mut msgs: Vec<Tensor> = Vec::with_capacity(lp.net_groups.len());
             let mut dests: Vec<usize> = Vec::new();
             for g in &lp.net_groups {
-                let src = block(g.src_level).gather_rows(&g.src_rows);
+                let src = blocks[g.src_level].gather_rows(&g.src_rows);
                 let ef = design.net_edge_features.gather_rows(&g.edge_ids);
                 msgs.push(self.net_prop.forward(&Tensor::concat_cols(&[&src, &ef])));
                 dests.extend_from_slice(&g.dest_local);
@@ -194,7 +178,7 @@ impl Propagation {
             let mut msgs: Vec<Tensor> = Vec::with_capacity(lp.cell_groups.len());
             let mut dests: Vec<usize> = Vec::new();
             for g in &lp.cell_groups {
-                let src = block(g.src_level).gather_rows(&g.src_rows);
+                let src = blocks[g.src_level].gather_rows(&g.src_rows);
                 let ef = design.cell_edge_features.gather_rows(&g.edge_ids);
                 let lut_out = if self.ablation.no_lut_module {
                     // ablation: the model sees only the valid flags,
@@ -239,14 +223,14 @@ impl Propagation {
     /// [`Propagation::forward`] that also captures the per-level state
     /// blocks and init projection for the incremental engine.
     ///
-    /// Keeps every block resident (the autograd graph needs them anyway)
-    /// and walks the levels chunk by chunk under
-    /// [`tp_partition::PartitionPlan::by_max_nodes`]; budget 0 is a
-    /// one-chunk plan. Under a positive budget level tensors also draw from
-    /// the buffer pool. The fused [`Tensor::assemble_rows`] builds the
-    /// `[N, prop_dim]` state matrix without materializing the block
-    /// concatenation — bit-identical to `concat_rows` + `gather_rows`,
-    /// gradients included.
+    /// Every block stays resident (the autograd graph needs them anyway).
+    /// The levels are walked in ascending order, grouped into `prop_chunk`
+    /// trace spans by [`tp_partition::PartitionPlan::by_max_nodes`] under
+    /// the [`tp_partition::partition_nodes`] budget; budget 0 is one chunk.
+    /// The grouping changes no op, so every budget gives the same bits.
+    /// The fused [`Tensor::assemble_rows`] builds the `[N, prop_dim]` state
+    /// matrix without materializing the block concatenation —
+    /// bit-identical to `concat_rows` + `gather_rows`, gradients included.
     pub(crate) fn forward_traced(
         &self,
         design: &DesignGraph,
@@ -254,13 +238,14 @@ impl Propagation {
         embedding: &Tensor,
     ) -> (PropOutput, PropTrace) {
         let _prop_span = tp_obs::span!("levelized_prop", levels = plan.num_levels());
-        let budget = tp_partition::partition_nodes();
-        let _pool = (budget > 0).then(tp_tensor::pool::scope);
         let x0 = self.init_states(&design.pin_features, embedding);
 
-        let pplan = tp_partition::PartitionPlan::by_max_nodes(&plan.level_graph(), budget);
+        let pplan = tp_partition::PartitionPlan::by_max_nodes(
+            &plan.level_graph(),
+            tp_partition::partition_nodes(),
+        );
         pplan.publish("gnn.partition");
-        let mut blocks: Vec<Option<Tensor>> = Vec::with_capacity(plan.num_levels());
+        let mut blocks: Vec<Tensor> = Vec::with_capacity(plan.num_levels());
         let mut edge_msgs: Vec<Tensor> = Vec::new();
         for (ci, chunk) in pplan.chunks().iter().enumerate() {
             let _chunk_span = tp_obs::span!(
@@ -272,11 +257,11 @@ impl Propagation {
             for l in chunk.levels.clone() {
                 let (b, m) = self.compute_level(design, &plan.levels[l], l, &x0, &blocks);
                 edge_msgs.extend(m);
-                blocks.push(Some(b));
+                blocks.push(b);
             }
         }
 
-        let refs: Vec<&Tensor> = blocks.iter().flatten().collect();
+        let refs: Vec<&Tensor> = blocks.iter().collect();
         let states = Tensor::assemble_rows(&refs, &plan.assemble);
         let atslew = self.atslew_head.forward(&states);
         let cell_delay = if edge_msgs.is_empty() {
@@ -294,95 +279,6 @@ impl Propagation {
             },
             PropTrace { x0, blocks },
         )
-    }
-
-    /// The streamed inference pass: chunk-by-chunk execution that releases
-    /// every level block after its last reader chunk, recycling buffers
-    /// through the tensor pool. Requires the autograd tape to be off —
-    /// final outputs are assembled row-by-row into flat buffers, which has
-    /// no backward.
-    ///
-    /// Bit-identity with the monolithic pass holds because (a) each level
-    /// runs [`Propagation::compute_level`], the same ops in the same
-    /// order; (b) the `atslew`/`cell_delay` heads are row-wise pure MLPs,
-    /// so applying them per block reproduces the full-matrix rows exactly;
-    /// (c) final `states`/`atslew`/`cell_delay` rows are plain copies in
-    /// the same layout the monolithic assembly produces.
-    fn forward_streamed(
-        &self,
-        design: &DesignGraph,
-        plan: &PropPlan,
-        embedding: &Tensor,
-    ) -> PropOutput {
-        assert!(
-            !tp_tensor::grad_enabled(),
-            "streamed propagation is inference-only; wrap in tp_tensor::no_grad"
-        );
-        let _prop_span = tp_obs::span!("levelized_prop", levels = plan.num_levels());
-        let budget = tp_partition::partition_nodes();
-        let pplan = tp_partition::PartitionPlan::by_max_nodes(&plan.level_graph(), budget);
-        pplan.publish("gnn.partition");
-        let _pool = tp_tensor::pool::scope();
-        let x0 = self.init_states(&design.pin_features, embedding);
-
-        let n = design.num_pins;
-        let pd = self.prop_dim;
-        let ec = design.num_cell_edges();
-        let mut states_buf = vec![0.0f32; n * pd];
-        let mut atslew_buf = vec![0.0f32; n * 8];
-        let mut celld_buf = vec![0.0f32; ec * 4];
-        let mut celld_off = 0usize;
-
-        let mut blocks: Vec<Option<Tensor>> = Vec::with_capacity(plan.num_levels());
-        for (ci, chunk) in pplan.chunks().iter().enumerate() {
-            let _chunk_span = tp_obs::span!(
-                "prop_chunk",
-                chunk = ci,
-                levels = chunk.levels.len(),
-                nodes = chunk.nodes,
-            );
-            for l in chunk.levels.clone() {
-                let lp = &plan.levels[l];
-                let (block, m) = self.compute_level(design, lp, l, &x0, &blocks);
-                {
-                    let bd = block.data();
-                    for (r, &p) in lp.pins.iter().enumerate() {
-                        states_buf[p * pd..(p + 1) * pd]
-                            .copy_from_slice(&bd[r * pd..(r + 1) * pd]);
-                    }
-                }
-                {
-                    let a = self.atslew_head.forward(&block);
-                    let ad = a.data();
-                    for (r, &p) in lp.pins.iter().enumerate() {
-                        atslew_buf[p * 8..(p + 1) * 8].copy_from_slice(&ad[r * 8..(r + 1) * 8]);
-                    }
-                }
-                if let Some(m) = m {
-                    let rows = m.shape()[0];
-                    let cd = self.celld_head.forward(&m);
-                    celld_buf[celld_off * 4..(celld_off + rows) * 4]
-                        .copy_from_slice(&cd.data());
-                    celld_off += rows;
-                }
-                blocks.push(Some(block));
-            }
-            for &l in pplan.release_after(ci) {
-                blocks[l] = None;
-            }
-        }
-        debug_assert_eq!(celld_off, ec, "cell messages must cover every cell arc");
-        tp_partition::publish_pool_stats();
-
-        PropOutput {
-            states: Tensor::from_vec(states_buf, &[n, pd]).expect("states shape"),
-            atslew: Tensor::from_vec(atslew_buf, &[n, 8]).expect("atslew shape"),
-            cell_delay: if ec == 0 {
-                Tensor::zeros(&[0, 4])
-            } else {
-                Tensor::from_vec(celld_buf, &[ec, 4]).expect("cell_delay shape")
-            },
-        }
     }
 }
 

@@ -568,9 +568,6 @@ impl Trainer {
     /// step against divergence, and (optionally) checkpoints periodically.
     pub fn fit_with(&mut self, dataset: &Dataset, options: &FitOptions) -> TrainReport {
         let fit_t0 = Instant::now();
-        // Under a partition budget, keep one pool scope open for the whole
-        // fit so level-block buffers recycle across steps and epochs.
-        let _pool = (tp_partition::partition_nodes() > 0).then(tp_tensor::pool::scope);
         let mut report = TrainReport {
             resumed_from_epoch: self.start_epoch,
             ..TrainReport::default()
@@ -699,7 +696,6 @@ impl Trainer {
         // resume repositions it.
         self.start_epoch = 0;
         report.total_seconds = fit_t0.elapsed().as_secs_f64();
-        tp_partition::publish_pool_stats();
         report
     }
 
@@ -804,33 +800,20 @@ impl Trainer {
         }
     }
 
-    /// Forward pass without optimization (prediction).
-    ///
-    /// Under a positive `TP_PARTITION_NODES` budget the pass runs inside
-    /// [`tp_tensor::no_grad`], which routes the propagation stage onto the
-    /// streamed chunk-by-chunk path (bit-identical outputs, bounded live
-    /// memory). No caller of `predict` consumes gradients, so the tape is
-    /// pure overhead here either way.
+    /// Forward pass without optimization (prediction). Runs inside
+    /// [`tp_tensor::no_grad`]: no caller of `predict` consumes gradients,
+    /// so it records no autograd tape.
     pub fn predict(&mut self, design: &DesignGraph) -> Prediction {
         let plan = self.plan_for(design);
-        if tp_partition::partition_nodes() > 0 {
-            let pred = tp_tensor::no_grad(|| self.model.forward(design, &plan));
-            tp_partition::publish_pool_stats();
-            return pred;
-        }
-        self.model.forward(design, &plan)
+        tp_tensor::no_grad(|| self.model.forward(design, &plan))
     }
 
-    /// Forward pass returning inference wall-clock seconds, for the
+    /// [`Trainer::predict`] returning inference wall-clock seconds, for the
     /// Table-5 runtime comparison.
     pub fn timed_predict(&mut self, design: &DesignGraph) -> (Prediction, f64) {
         let plan = self.plan_for(design);
         let t0 = Instant::now();
-        let pred = if tp_partition::partition_nodes() > 0 {
-            tp_tensor::no_grad(|| self.model.forward(design, &plan))
-        } else {
-            self.model.forward(design, &plan)
-        };
+        let pred = tp_tensor::no_grad(|| self.model.forward(design, &plan));
         (pred, t0.elapsed().as_secs_f64())
     }
 
@@ -953,6 +936,27 @@ mod tests {
         let mut t = tiny_trainer(AuxMode::None);
         let (_, secs) = t.timed_predict(ds.designs().first().unwrap());
         assert!(secs > 0.0);
+    }
+
+    #[test]
+    fn predict_records_no_tape_and_matches_a_taped_forward() {
+        let ds = tiny_dataset();
+        let design = ds.designs().first().unwrap();
+        let mut t = tiny_trainer(AuxMode::None);
+        assert!(tp_tensor::grad_enabled(), "the check needs the tape on");
+        let pred = t.predict(design);
+        let taped = t.model().forward(design, &PropPlan::build(design));
+        assert!(taped.arrival.requires_grad(), "reference has a tape");
+        let bits = |x: &Tensor| -> Vec<u32> { x.to_vec().iter().map(|v| v.to_bits()).collect() };
+        for (got, want) in [
+            (&pred.arrival, &taped.arrival),
+            (&pred.slew, &taped.slew),
+            (&pred.net_delay, &taped.net_delay),
+            (&pred.cell_delay, &taped.cell_delay),
+        ] {
+            assert!(!got.requires_grad(), "predict recorded a tape");
+            assert_eq!(bits(got), bits(want), "predict drifted from forward");
+        }
     }
 
     #[test]

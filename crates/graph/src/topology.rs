@@ -158,12 +158,6 @@ impl Topology {
         self.levels.len().saturating_sub(1)
     }
 
-    /// Pin count per level — the shape a level-granularity partitioner
-    /// (`tp_partition::LevelGraph::from_level_sizes`) consumes.
-    pub fn level_sizes(&self) -> Vec<usize> {
-        self.levels.iter().map(Vec::len).collect()
-    }
-
     /// All pins in one valid topological order.
     pub fn topo_order(&self) -> &[PinId] {
         &self.topo_order

@@ -158,7 +158,7 @@ pub struct BenchEntry {
 /// tooling. `threads` records the `tp-par` worker count the suite ran
 /// under, so single- and multi-thread artifacts are distinguishable, and
 /// `config` echoes the knobs the numbers depend on (`TP_SCALE`,
-/// `TP_PARTITION_NODES`, gemm tiles, ...) as ordered key/value pairs.
+/// `TP_PARTITION_NODES`, ...) as ordered key/value pairs.
 pub fn bench_json(
     suite: &str,
     threads: usize,

@@ -116,7 +116,7 @@ pub(crate) fn record(event: TraceEvent) {
 /// On Linux this reads `VmHWM` from `/proc/self/status` — the
 /// high-water mark of physical memory the kernel has charged to the
 /// process, which is exactly the number a memory budget (e.g. the
-/// `TP_PARTITION_NODES` streaming path at `TP_SCALE=1.0`) should be
+/// full-scale forward of `scripts/scale1.sh` at `TP_SCALE=1.0`) should be
 /// judged against. Elsewhere it returns 0 so manifests stay
 /// schema-stable without a platform guess.
 pub fn peak_rss_bytes() -> u64 {

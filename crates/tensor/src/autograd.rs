@@ -19,9 +19,8 @@ thread_local! {
     static NO_GRAD: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether operations currently record the autograd tape on this thread.
-/// `false` inside a [`no_grad`] region — executors use this to pick
-/// inference-only paths (e.g. the streamed partitioned propagation).
+/// Whether operations currently record the autograd tape on this thread:
+/// `false` inside a [`no_grad`] region.
 pub fn grad_enabled() -> bool {
     NO_GRAD.with(|c| !c.get())
 }

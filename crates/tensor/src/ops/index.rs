@@ -48,14 +48,13 @@ impl Tensor {
         let idx = Arc::clone(&index);
         let backward: BackwardFn = Box::new(move |g: &[f32]| {
             if src.requires_grad() {
-                let mut gs = crate::pool::take_zeroed(n * d);
+                let mut gs = vec![0.0; n * d];
                 for (r, &i) in idx.iter().enumerate() {
                     for j in 0..d {
                         gs[i * d + j] += g[r * d + j];
                     }
                 }
                 src.accumulate_grad(&gs);
-                crate::pool::recycle(gs);
             }
         });
         Tensor::from_op(out, Shape::new(&[rows, d]), vec![self.clone()], backward)
@@ -66,7 +65,7 @@ impl Tensor {
     /// `index[i]` of the virtual row-concatenation of `parts` — without
     /// materializing the concatenated matrix or its gradient.
     ///
-    /// This is the partitioned executor's state-assembly op: forward copies
+    /// This is the propagation stage's state-assembly op: forward copies
     /// and backward scatter-adds follow the exact element order of the
     /// two-op form, so swapping it in changes no result bits.
     ///
@@ -92,7 +91,7 @@ impl Tensor {
             (pi, r - offsets[pi])
         };
         let n = index.len();
-        let mut out = crate::pool::take_zeroed(n * d);
+        let mut out = vec![0.0; n * d];
         {
             let datas: Vec<_> = parts.iter().map(|p| p.data()).collect();
             for (i, &r) in index.iter().enumerate() {
@@ -112,7 +111,7 @@ impl Tensor {
             // then accumulate each part once, in parts order.
             let mut gparts: Vec<Option<Vec<f32>>> = srcs
                 .iter()
-                .map(|s| s.requires_grad().then(|| crate::pool::take_zeroed(s.numel())))
+                .map(|s| s.requires_grad().then(|| vec![0.0; s.numel()]))
                 .collect();
             for (i, &r) in idx.iter().enumerate() {
                 let (pi, local) = locate(&offs, r);
@@ -125,7 +124,6 @@ impl Tensor {
             for (s, gp) in srcs.iter().zip(gparts) {
                 if let Some(gp) = gp {
                     s.accumulate_grad(&gp);
-                    crate::pool::recycle(gp);
                 }
             }
         });
@@ -145,7 +143,7 @@ impl Tensor {
         let (e, d) = self.shape_obj().as_2d();
         assert_eq!(segments.len(), e, "one segment id per row required");
         let data = self.data();
-        let mut out = crate::pool::take_zeroed(num_segments * d);
+        let mut out = vec![0.0; num_segments * d];
         for (r, &s) in segments.iter().enumerate() {
             assert!(s < num_segments, "segment id {s} out of range {num_segments}");
             for j in 0..d {
@@ -157,12 +155,11 @@ impl Tensor {
         let src = self.clone();
         let backward: BackwardFn = Box::new(move |g: &[f32]| {
             if src.requires_grad() {
-                let mut gs = crate::pool::take_zeroed(e * d);
+                let mut gs = vec![0.0; e * d];
                 for (r, &s) in seg.iter().enumerate() {
                     gs[r * d..(r + 1) * d].copy_from_slice(&g[s * d..(s + 1) * d]);
                 }
                 src.accumulate_grad(&gs);
-                crate::pool::recycle(gs);
             }
         });
         Tensor::from_op(
@@ -209,7 +206,7 @@ impl Tensor {
         let am = Arc::clone(&argmax);
         let backward: BackwardFn = Box::new(move |g: &[f32]| {
             if src.requires_grad() {
-                let mut gs = crate::pool::take_zeroed(e * d);
+                let mut gs = vec![0.0; e * d];
                 for (sj, &r) in am.iter().enumerate() {
                     if r != usize::MAX {
                         let j = sj % d;
@@ -217,7 +214,6 @@ impl Tensor {
                     }
                 }
                 src.accumulate_grad(&gs);
-                crate::pool::recycle(gs);
             }
         });
         Tensor::from_op(
@@ -240,7 +236,7 @@ impl Tensor {
         let (k, d) = self.shape_obj().as_2d();
         assert_eq!(index.len(), k, "one destination per row required");
         let data = self.data();
-        let mut out = crate::pool::take_zeroed(n * d);
+        let mut out = vec![0.0; n * d];
         for (r, &i) in index.iter().enumerate() {
             assert!(i < n, "scatter index {i} out of bounds for {n} rows");
             for j in 0..d {
@@ -252,12 +248,11 @@ impl Tensor {
         let src = self.clone();
         let backward: BackwardFn = Box::new(move |g: &[f32]| {
             if src.requires_grad() {
-                let mut gs = crate::pool::take_zeroed(k * d);
+                let mut gs = vec![0.0; k * d];
                 for (r, &i) in idx.iter().enumerate() {
                     gs[r * d..(r + 1) * d].copy_from_slice(&g[i * d..(i + 1) * d]);
                 }
                 src.accumulate_grad(&gs);
-                crate::pool::recycle(gs);
             }
         });
         Tensor::from_op(out, Shape::new(&[n, d]), vec![self.clone()], backward)
@@ -338,7 +333,7 @@ mod tests {
     #[test]
     fn assemble_rows_matches_concat_gather_bitwise() {
         // Three uneven parts (one empty) and a permutation index — the
-        // partitioned executor's exact usage pattern.
+        // propagation stage's exact usage pattern.
         let a = m(&[0.1, 0.2, 0.3, 0.4], &[2, 2]).with_grad();
         let b = m(&[], &[0, 2]).with_grad();
         let c = m(&[1.5, -2.5, 3.5, 4.5, 5.5, 6.5], &[3, 2]).with_grad();

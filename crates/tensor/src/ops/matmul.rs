@@ -1,8 +1,5 @@
 //! Dense matrix multiplication and 2-D transpose.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
 use crate::tensor::BackwardFn;
 use crate::{Shape, Tensor};
 
@@ -12,56 +9,29 @@ const DEFAULT_TILE_K: usize = 128;
 /// Default J (output-column) tile: 64 floats = 256 B per `b` row.
 const DEFAULT_TILE_J: usize = 64;
 
-/// Programmatic tile overrides (0 = fall back to env/default). Bench hook
-/// for the tile sweep; env knobs are `TP_GEMM_TILE_K` / `TP_GEMM_TILE_J`.
-static TILE_K_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static TILE_J_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_tile(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or(default)
-}
-
-/// The active `(tile_k, tile_j)` blocking of the gemm kernel. Tiling only
-/// regroups the cache traversal — per-element accumulation order is
-/// unchanged — so any tile size yields bit-identical products.
-pub fn gemm_tiles() -> (usize, usize) {
-    static ENV: OnceLock<(usize, usize)> = OnceLock::new();
-    let (env_k, env_j) = *ENV.get_or_init(|| {
-        (
-            env_tile("TP_GEMM_TILE_K", DEFAULT_TILE_K),
-            env_tile("TP_GEMM_TILE_J", DEFAULT_TILE_J),
-        )
-    });
-    let k = TILE_K_OVERRIDE.load(Ordering::Relaxed);
-    let j = TILE_J_OVERRIDE.load(Ordering::Relaxed);
-    (if k > 0 { k } else { env_k }, if j > 0 { j } else { env_j })
-}
-
-/// Overrides the gemm tile sizes (0 restores the env/default value).
-pub fn set_gemm_tiles(tile_k: usize, tile_j: usize) {
-    TILE_K_OVERRIDE.store(tile_k, Ordering::Relaxed);
-    TILE_J_OVERRIDE.store(tile_j, Ordering::Relaxed);
-}
-
 /// `out[m,n] += a[m,k] * b[k,n]`, blocked for cache: the column range is
 /// cut into `tile_j` bands and the inner dimension into `tile_k` panels,
 /// so the `tile_k × tile_j` panel of `b` stays L1-resident while every
-/// row of `a` streams across it.
+/// row of `a` streams across it. Tiling only regroups the cache
+/// traversal, so any tile sizes yield bit-identical products.
 ///
 /// Determinism: for a fixed output element `(i, j)` the contributions are
 /// added in ascending `p` — k-panels ascend and `p` ascends within each
 /// panel, while the j-blocking never touches the same element twice — the
 /// exact accumulation order of the straight i-k-j kernel this replaced.
 /// Same `av == 0.0` skip, so the float-op sequence is identical too.
-fn gemm_rows(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+fn gemm_rows(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    (tile_k, tile_j): (usize, usize),
+) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let (tile_k, tile_j) = gemm_tiles();
     let mut j0 = 0;
     while j0 < n {
         let j1 = (j0 + tile_j).min(n);
@@ -107,12 +77,13 @@ fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
             k,
             n,
             out_rows,
+            (DEFAULT_TILE_K, DEFAULT_TILE_J),
         );
     });
 }
 
 fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    let mut out = crate::pool::take_zeroed(src.len());
+    let mut out = vec![0.0; src.len()];
     for i in 0..rows {
         for j in 0..cols {
             out[j * rows + i] = src[i * cols + j];
@@ -149,8 +120,13 @@ impl Tensor {
             self.shape_obj(),
             rhs.shape_obj()
         );
-        let mut out = crate::pool::take_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         gemm(&self.data(), &rhs.data(), m, k, n, &mut out);
+        let parents = vec![self.clone(), rhs.clone()];
+        if !Tensor::records_tape(&parents) {
+            // No tape: skip the operand snapshots only the backward reads.
+            return Tensor::leaf(out, Shape::new(&[m, n]));
+        }
 
         let lhs_snap = self.to_vec();
         let rhs_snap = rhs.to_vec();
@@ -159,27 +135,18 @@ impl Tensor {
             // dL/dA = G · Bᵀ ; dL/dB = Aᵀ · G
             if lhs_t.requires_grad() {
                 let bt = transpose(&rhs_snap, k, n);
-                let mut ga = crate::pool::take_zeroed(m * k);
+                let mut ga = vec![0.0; m * k];
                 gemm(g, &bt, m, n, k, &mut ga);
                 lhs_t.accumulate_grad(&ga);
-                crate::pool::recycle(bt);
-                crate::pool::recycle(ga);
             }
             if rhs_t.requires_grad() {
                 let at = transpose(&lhs_snap, m, k);
-                let mut gb = crate::pool::take_zeroed(k * n);
+                let mut gb = vec![0.0; k * n];
                 gemm(&at, g, k, m, n, &mut gb);
                 rhs_t.accumulate_grad(&gb);
-                crate::pool::recycle(at);
-                crate::pool::recycle(gb);
             }
         });
-        Tensor::from_op(
-            out,
-            Shape::new(&[m, n]),
-            vec![self.clone(), rhs.clone()],
-            backward,
-        )
+        Tensor::from_op(out, Shape::new(&[m, n]), parents, backward)
     }
 
     /// Transpose of a rank-2 tensor.
@@ -244,24 +211,13 @@ mod tests {
             let mut want = vec![0.0; m * n];
             gemm_ref(&a, &b, m, k, n, &mut want);
             for &(tk, tj) in &[(1, 1), (2, 3), (7, 5), (128, 64), (4096, 4096)] {
-                super::set_gemm_tiles(tk, tj);
                 let mut got = vec![0.0; m * n];
-                super::gemm_rows(&a, &b, m, k, n, &mut got);
-                super::set_gemm_tiles(0, 0);
+                super::gemm_rows(&a, &b, m, k, n, &mut got, (tk, tj));
                 let wb: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
                 let gb: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(wb, gb, "tiles ({tk},{tj}) changed bits at {m}x{k}x{n}");
             }
         }
-    }
-
-    #[test]
-    fn gemm_tile_overrides_and_env_defaults() {
-        super::set_gemm_tiles(33, 17);
-        assert_eq!(super::gemm_tiles(), (33, 17));
-        super::set_gemm_tiles(0, 0);
-        let (tk, tj) = super::gemm_tiles();
-        assert!(tk > 0 && tj > 0, "defaults must be positive");
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl Tensor {
             })
             .collect();
         let total: usize = widths.iter().sum();
-        let mut out = crate::pool::take_zeroed(n * total);
+        let mut out = vec![0.0; n * total];
         let mut offset = 0;
         for (p, &w) in parts.iter().zip(&widths) {
             let data = p.data();
@@ -78,13 +78,12 @@ impl Tensor {
             let mut offset = 0;
             for (p, &w) in parent_handles.iter().zip(&widths) {
                 if p.requires_grad() {
-                    let mut gp = crate::pool::take_zeroed(n * w);
+                    let mut gp = vec![0.0; n * w];
                     for i in 0..n {
                         gp[i * w..(i + 1) * w]
                             .copy_from_slice(&g[i * total + offset..i * total + offset + w]);
                     }
                     p.accumulate_grad(&gp);
-                    crate::pool::recycle(gp);
                 }
                 offset += w;
             }
@@ -144,13 +143,12 @@ impl Tensor {
         let src = self.clone();
         let backward: BackwardFn = Box::new(move |g: &[f32]| {
             if src.requires_grad() {
-                let mut gs = crate::pool::take_zeroed(n * d);
+                let mut gs = vec![0.0; n * d];
                 for i in 0..n {
                     gs[i * d + start..i * d + start + len]
                         .copy_from_slice(&g[i * len..(i + 1) * len]);
                 }
                 src.accumulate_grad(&gs);
-                crate::pool::recycle(gs);
             }
         });
         Tensor::from_op(out, Shape::new(&[n, len]), vec![self.clone()], backward)

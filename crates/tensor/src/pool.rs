@@ -1,289 +1,27 @@
-//! Pooled tensor-buffer allocator for partitioned (chunked) execution.
+//! Buffer-pool counters, kept only so that existing readers of [`stats`]
+//! (the repository benchmark's `infer_full` workload) still build.
 //!
-//! Levelized GNN propagation allocates and frees the same handful of buffer
-//! sizes over and over — one `[level_pins, prop_dim]` block per level, plus
-//! matmul outputs and gradient scratch. Under a [`PoolScope`] those buffers
-//! are recycled through size-keyed free lists instead of round-tripping the
-//! system allocator, so a chunked sweep at `TP_SCALE=1.0` reuses the memory
-//! freed by the previous chunk.
-//!
-//! Contracts:
-//!
-//! - [`take_zeroed`] always returns an **all-zero** buffer of exactly the
-//!   requested length, pooled or not — callers are oblivious to reuse, so
-//!   pooling can never change results.
-//! - Recycling happens in `Drop for tensor::Inner` (and a few hot scratch
-//!   sites) and only while a scope is active; outside any scope both paths
-//!   degrade to the plain allocator.
-//! - Retained bytes are capped (`TP_POOL_MAX_MB`, default 256 MiB): a
-//!   buffer that would exceed the cap is dropped instead of retained.
-//!
-//! Hit/miss/recycle counters and the retained-bytes high-water mark are
-//! readable via [`stats`]; tp-partition bridges them into tp-obs gauges.
+//! The crate has no buffer pool: every op allocates its output with
+//! `vec![0.0; n]` and frees it on drop. [`stats`] therefore always reports
+//! zeros, and [`reset_stats`] does nothing.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
-/// Number of active [`PoolScope`]s across all threads. The pool is global
-/// (buffers freed on one tp-par worker can be reused by another); a plain
-/// depth counter makes scopes nestable.
-static DEPTH: AtomicUsize = AtomicUsize::new(0);
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static RECYCLED: AtomicU64 = AtomicU64::new(0);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-static HIGH_WATER_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Retained-bytes cap override (bytes; `u64::MAX` = use env/default).
-static MAX_BYTES_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-const DEFAULT_MAX_BYTES: u64 = 256 * 1024 * 1024;
-
-struct FreeLists {
-    by_len: HashMap<usize, Vec<Vec<f32>>>,
-    bytes: u64,
-}
-
-static FREE: Mutex<Option<FreeLists>> = Mutex::new(None);
-
-fn with_free<R>(f: impl FnOnce(&mut FreeLists) -> R) -> R {
-    let mut guard = FREE.lock().unwrap_or_else(PoisonError::into_inner);
-    let lists = guard.get_or_insert_with(|| FreeLists {
-        by_len: HashMap::new(),
-        bytes: 0,
-    });
-    f(lists)
-}
-
-/// Whether a pool scope is currently active anywhere in the process.
-pub fn enabled() -> bool {
-    DEPTH.load(Ordering::Relaxed) > 0
-}
-
-/// Maximum bytes the pool may retain in its free lists.
-pub fn max_bytes() -> u64 {
-    let over = MAX_BYTES_OVERRIDE.load(Ordering::Relaxed);
-    if over != u64::MAX {
-        return over;
-    }
-    std::env::var("TP_POOL_MAX_MB")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(|mb| mb.saturating_mul(1024 * 1024))
-        .unwrap_or(DEFAULT_MAX_BYTES)
-}
-
-/// Overrides the retained-bytes cap programmatically (`u64::MAX` restores
-/// the `TP_POOL_MAX_MB` / default behavior). Test and bench hook.
-pub fn set_max_bytes(bytes: u64) {
-    MAX_BYTES_OVERRIDE.store(bytes, Ordering::Relaxed);
-}
-
-/// An all-zero `Vec<f32>` of length `len`, reused from the pool when a
-/// scope is active and a buffer of that exact length is free.
-pub fn take_zeroed(len: usize) -> Vec<f32> {
-    if len == 0 || !enabled() {
-        return vec![0.0; len];
-    }
-    let reused = with_free(|free| {
-        let v = free.by_len.get_mut(&len).and_then(Vec::pop);
-        if v.is_some() {
-            free.bytes -= (len * 4) as u64;
-        }
-        v
-    });
-    match reused {
-        Some(mut v) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            v.fill(0.0);
-            v
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            vec![0.0; len]
-        }
-    }
-}
-
-/// Returns a buffer to the pool. No-op (plain drop) outside a scope, for
-/// empty buffers, or when retaining it would exceed [`max_bytes`].
-pub fn recycle(v: Vec<f32>) {
-    if v.is_empty() || !enabled() {
-        return;
-    }
-    let add = (v.len() * 4) as u64;
-    let cap = max_bytes();
-    let kept = with_free(|free| {
-        if free.bytes + add > cap {
-            return false;
-        }
-        free.bytes += add;
-        free.by_len.entry(v.len()).or_default().push(v);
-        let hw = HIGH_WATER_BYTES.load(Ordering::Relaxed);
-        if free.bytes > hw {
-            HIGH_WATER_BYTES.store(free.bytes, Ordering::Relaxed);
-        }
-        true
-    });
-    if kept {
-        RECYCLED.fetch_add(1, Ordering::Relaxed);
-    } else {
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Empties the free lists, returning retained buffers to the allocator.
-/// Counters are left untouched (see [`reset_stats`]).
-pub fn clear() {
-    with_free(|free| {
-        free.by_len.clear();
-        free.bytes = 0;
-    });
-}
-
-/// Zeroes all counters and the high-water mark (free lists untouched).
-pub fn reset_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    RECYCLED.store(0, Ordering::Relaxed);
-    DROPPED.store(0, Ordering::Relaxed);
-    HIGH_WATER_BYTES.store(with_free(|f| f.bytes), Ordering::Relaxed);
-}
-
-/// Point-in-time pool counters.
+/// Pool counters; every field is always zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
-    /// `take_zeroed` calls served from a free list.
+    /// Allocations served from a free list.
     pub hits: u64,
-    /// `take_zeroed` calls that fell through to the allocator.
+    /// Allocations that fell through to the allocator.
     pub misses: u64,
-    /// Buffers returned to the free lists.
-    pub recycled: u64,
-    /// Buffers refused (cap exceeded) and dropped instead.
-    pub dropped: u64,
-    /// Bytes currently retained in the free lists.
+    /// Bytes currently retained in free lists.
     pub held_bytes: u64,
     /// Peak bytes ever retained at once.
     pub high_water_bytes: u64,
 }
 
-/// Snapshot of the pool counters.
+/// The pool counters: all zero.
 pub fn stats() -> PoolStats {
-    PoolStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        recycled: RECYCLED.load(Ordering::Relaxed),
-        dropped: DROPPED.load(Ordering::Relaxed),
-        held_bytes: with_free(|f| f.bytes),
-        high_water_bytes: HIGH_WATER_BYTES.load(Ordering::Relaxed),
-    }
+    PoolStats::default()
 }
 
-/// RAII activation of the pool; see the module docs. Scopes nest, and the
-/// guard is panic-safe — dropping it always decrements the depth.
-#[must_use = "the pool is only active while the scope guard lives"]
-pub struct PoolScope {
-    _private: (),
-}
-
-/// Activates pooled allocation until the returned guard drops.
-pub fn scope() -> PoolScope {
-    DEPTH.fetch_add(1, Ordering::Relaxed);
-    PoolScope { _private: () }
-}
-
-impl Drop for PoolScope {
-    fn drop(&mut self) {
-        DEPTH.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Pool tests share global state; serialize them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    #[test]
-    fn disabled_pool_is_passthrough() {
-        let _l = locked();
-        clear();
-        reset_stats();
-        let v = take_zeroed(16);
-        assert_eq!(v, vec![0.0; 16]);
-        recycle(v);
-        let s = stats();
-        assert_eq!((s.hits, s.recycled, s.held_bytes), (0, 0, 0));
-    }
-
-    #[test]
-    fn scope_recycles_and_rehits() {
-        let _l = locked();
-        clear();
-        reset_stats();
-        let guard = scope();
-        let mut v = take_zeroed(8);
-        v[3] = 7.0; // dirty it; the next take must still see zeros
-        recycle(v);
-        assert_eq!(stats().recycled, 1);
-        let v2 = take_zeroed(8);
-        assert_eq!(v2, vec![0.0; 8], "pooled buffers come back zeroed");
-        assert_eq!(stats().hits, 1);
-        let other = take_zeroed(9);
-        assert_eq!(other.len(), 9, "length mismatch never reuses");
-        drop(guard);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn scopes_nest_and_survive_panics() {
-        let _l = locked();
-        let outer = scope();
-        let r = std::panic::catch_unwind(|| {
-            let _inner = scope();
-            panic!("inside scope");
-        });
-        assert!(r.is_err());
-        assert!(enabled(), "outer scope still active after inner panic");
-        drop(outer);
-        assert!(!enabled());
-    }
-
-    #[test]
-    fn cap_drops_instead_of_retaining() {
-        let _l = locked();
-        clear();
-        reset_stats();
-        set_max_bytes(16); // 4 floats
-        let _g = scope();
-        recycle(vec![0.0; 4]); // exactly at cap: retained
-        recycle(vec![0.0; 4]); // would exceed: dropped
-        let s = stats();
-        assert_eq!((s.recycled, s.dropped), (1, 1));
-        assert_eq!(s.held_bytes, 16);
-        set_max_bytes(u64::MAX);
-        clear();
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let _l = locked();
-        clear();
-        reset_stats();
-        let _g = scope();
-        recycle(vec![0.0; 100]);
-        recycle(vec![0.0; 50]);
-        let _ = take_zeroed(100);
-        let s = stats();
-        assert_eq!(s.held_bytes, 200);
-        assert_eq!(s.high_water_bytes, 600);
-        clear();
-    }
-}
+/// Resets the pool counters (a no-op: they are always zero).
+pub fn reset_stats() {}

@@ -54,22 +54,6 @@ pub(crate) struct Inner {
     pub(crate) backward: Option<BackwardFn>,
 }
 
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // Under an active pool scope the storage goes back to the free
-        // lists instead of the allocator; chunked execution reuses it for
-        // the next chunk's blocks. `get_mut` needs no lock — we hold the
-        // only reference — so this costs one atomic load when disabled.
-        if crate::pool::enabled() {
-            let data = std::mem::take(self.data.get_mut().unwrap_or_else(PoisonError::into_inner));
-            crate::pool::recycle(data);
-            if let Some(g) = self.grad.get_mut().unwrap_or_else(PoisonError::into_inner).take() {
-                crate::pool::recycle(g);
-            }
-        }
-    }
-}
-
 /// A dense `f32` tensor participating in a dynamic autograd graph.
 ///
 /// `Tensor` is a cheap reference-counted handle (`Arc`); cloning shares
@@ -127,8 +111,7 @@ impl Tensor {
 
     /// A tensor filled with zeros.
     pub fn zeros(shape: &[usize]) -> Tensor {
-        let n: usize = shape.iter().product();
-        Tensor::leaf(crate::pool::take_zeroed(n), Shape::new(shape))
+        Tensor::full(shape, 0.0)
     }
 
     /// A tensor filled with ones.
@@ -186,30 +169,36 @@ impl Tensor {
         }
     }
 
-    /// Creates a node produced by an operation. If no parent requires
-    /// gradients the backward closure and parent links are dropped so that
-    /// inference builds no graph.
+    /// Whether an op over `parents` records a tape node: the tape is on
+    /// (outside [`crate::no_grad`]) and some parent requires gradients.
+    /// The one definition of that rule; ops that snapshot operands for
+    /// their backward check it before copying.
+    pub(crate) fn records_tape(parents: &[Tensor]) -> bool {
+        crate::autograd::grad_enabled() && parents.iter().any(Tensor::requires_grad)
+    }
+
+    /// Creates a node produced by an operation. When it records no tape
+    /// (see [`Tensor::records_tape`]) the result is a plain leaf: the
+    /// backward closure and parent links are dropped, so inference keeps
+    /// no intermediate alive — even when a parent is a trainable parameter.
     pub(crate) fn from_op(
         data: Vec<f32>,
         shape: Shape,
         parents: Vec<Tensor>,
         backward: BackwardFn,
     ) -> Tensor {
-        // Inside a `no_grad` scope nothing records a tape, even when a
-        // parent is a trainable parameter — that is what lets streaming
-        // inference release per-level blocks as soon as their readers are
-        // done (the tape would otherwise pin every intermediate).
-        let needs =
-            crate::autograd::grad_enabled() && parents.iter().any(Tensor::requires_grad);
+        if !Tensor::records_tape(&parents) {
+            return Tensor::leaf(data, shape);
+        }
         Tensor {
             inner: Arc::new(Inner {
                 id: next_id(),
                 shape,
                 data: RwLock::new(data),
                 grad: Mutex::new(None),
-                requires_grad: AtomicBool::new(needs),
-                parents: if needs { parents } else { Vec::new() },
-                backward: if needs { Some(backward) } else { None },
+                requires_grad: AtomicBool::new(true),
+                parents,
+                backward: Some(backward),
             }),
         }
     }

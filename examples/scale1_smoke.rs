@@ -1,9 +1,10 @@
 //! Tier-2 full-scale smoke (`scripts/scale1.sh`): one benchmark generated
 //! at `TP_SCALE` (default 1.0 — the paper's real design sizes), run end to
-//! end **partitioned**: placement, routing + four-corner STA with chunked
-//! sweeps, then a streamed no-grad GNN forward with the paper-size model,
-//! all under a `TP_PARTITION_NODES` live-node budget. Writes
-//! `run_report.json` to the working directory; the manifest records
+//! end: placement, routing + four-corner STA, then a no-grad GNN forward
+//! with the paper-size model, its propagation levels grouped into
+//! `prop_chunk` spans under a `TP_PARTITION_NODES` budget. There is one
+//! forward path; the budget changes neither the ops nor the memory held.
+//! Writes `run_report.json` to the working directory; the manifest records
 //! `peak_rss_bytes` (VmHWM), which the calling script asserts against a
 //! documented budget.
 //!
@@ -32,8 +33,8 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(42u64);
-    // Default to a real partition budget: this smoke exists to prove the
-    // streamed path completes full-scale designs with bounded live memory.
+    // Default to a real partition budget, so the manifest records the
+    // chunk spans of a full-scale design.
     if timing_predict::partition::partition_nodes() == 0 {
         timing_predict::partition::set_partition_nodes(20_000);
     }
@@ -73,7 +74,6 @@ fn main() {
     let plan = PropPlan::build(&design);
     let model = TimingGnn::new(&ModelConfig::paper());
     let pred = timing_predict::tensor::no_grad(|| model.forward(&design, &plan));
-    timing_predict::partition::publish_pool_stats();
 
     let wall_ns = wall.elapsed().as_nanos() as u64;
     obs::disable();
@@ -98,7 +98,7 @@ fn main() {
         design.endpoints.len()
     );
     println!(
-        "scale1: wall {:.2}s, peak RSS {:.1} MiB (budget: {} live nodes/chunk) — run_report.json written",
+        "scale1: wall {:.2}s, peak RSS {:.1} MiB (budget: {} nodes/chunk) — run_report.json written",
         wall_ns as f64 / 1e9,
         report.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         budget

@@ -2,13 +2,14 @@
 # Tier-2 full-scale smoke (intentionally NOT part of tier1.sh — it builds
 # a full-size design and takes noticeably longer than the tier-1 budget).
 #
-# Runs one benchmark end to end at TP_SCALE=1.0 with partitioned
-# execution (placement → routing → chunked four-corner STA → streamed
-# paper-size GNN forward), then asserts the run manifest's peak-RSS stays
-# under the documented budget. The budget (TP_RSS_BUDGET_MB, default
-# 1024 MiB) is the memory contract for full-scale single-design runs on a
+# Runs one benchmark end to end at TP_SCALE=1.0 (placement → routing →
+# four-corner STA → no-grad paper-size GNN forward, its levels grouped
+# into prop_chunk spans under TP_PARTITION_NODES; there is no separate
+# streamed path), then asserts the run manifest's peak-RSS stays under
+# the documented budget. The budget (TP_RSS_BUDGET_MB, default 1024 MiB)
+# is the memory contract for full-scale single-design runs on a
 # laptop-class machine; the recorded usbf_device run peaks around
-# 420 MiB, so the default leaves ~2.4× headroom before the gate trips.
+# 290 MiB, so the default leaves ~3.5× headroom before the gate trips.
 #
 # Usage: scripts/scale1.sh [design]
 #   env: TP_SCALE (default 1.0), TP_PARTITION_NODES (default 20000),

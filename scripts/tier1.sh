@@ -37,9 +37,10 @@ step "tests (offline, 4-thread pool)"
 TP_THREADS=4 cargo test -q --workspace --offline
 
 step "partitioned training smoke (TP_SCALE=0.05 example)"
-# The training example, chunked: the whole fit must run under a live-node
-# budget and still converge to a finite loss. Exercises the pooled
-# allocator and the partitioned grad path end to end.
+# The training example under a partition budget: the whole fit must
+# complete and reach a finite loss. Besides the tiny one-epoch run of the
+# observability-artifact check below, this is tier-1's only release-mode
+# training run.
 if ! TP_PARTITION_NODES=4096 \
     cargo run -q --offline --release --example train_slack 0.05 2 >/dev/null; then
     echo "tier1: FAIL — partitioned training smoke did not complete" >&2

@@ -1,10 +1,10 @@
-//! Bit-identity of partitioned execution (`TP_PARTITION_NODES`).
+//! Bit-identity across partition budgets (`TP_PARTITION_NODES`).
 //!
-//! The partition contract: chunking controls only memory residency and
-//! instrumentation, never arithmetic. These suites regress it end to end —
-//! GNN forward + loss + gradients, streamed inference, and STA reports
-//! must be bit-for-bit identical between the monolithic path (budget 0)
-//! and any chunk size, at any thread count.
+//! The partition contract: the budget only groups propagation levels into
+//! trace spans, never changes arithmetic. These suites regress it end to
+//! end — GNN forward + loss + gradients, no-grad inference, and STA reports
+//! must be bit-for-bit identical between budget 0 (one chunk) and any
+//! chunk size, at any thread count.
 
 use std::sync::Mutex;
 
@@ -63,8 +63,7 @@ fn bits_of(t: &Tensor) -> Vec<u32> {
     t.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Streamed/partitioned inference outputs, bit-packed, including the raw
-/// propagation states (the buffer the streamed path assembles by hand).
+/// No-grad inference outputs, bit-packed.
 fn inference_bits(model: &TimingGnn, design: &DesignGraph, plan: &PropPlan) -> Vec<u32> {
     let pred = no_grad(|| model.forward(design, plan));
     let mut bits = bits_of(&pred.arrival);
@@ -174,7 +173,7 @@ fn partitioned_gnn_and_sta_are_bit_identical_to_monolithic() {
 }
 
 /// A wire-only chain (no cells at all: the design has zero cell arcs, so
-/// the streamed cell-delay head must handle the empty case), and a pair of
+/// the cell-delay head must handle the empty case), and a pair of
 /// disconnected two-pin nets (two independent components).
 fn degenerate_circuits() -> Vec<Circuit> {
     let mut out = Vec::new();
