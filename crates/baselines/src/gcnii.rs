@@ -122,7 +122,7 @@ impl Gcnii {
 
     /// Forward pass: `[N, 8]` arrival/slew prediction (Eq. 3 stacking).
     pub fn forward(&self, design: &DesignGraph, graph: &NormalizedGraph) -> Tensor {
-        let h0 = self.input_proj.forward(&design.pin_features).relu();
+        let h0 = self.input_proj.forward_relu(&design.pin_features);
         let mut h = h0.clone();
         let (a, b) = (self.config.alpha, self.config.beta);
         for w in &self.layer_weights {

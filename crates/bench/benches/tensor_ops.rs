@@ -14,6 +14,25 @@ fn bench_matmul(suite: &mut Suite) {
     }
 }
 
+/// The fused dense layer at the benchmark's shapes: a hidden 64→64 ReLU
+/// layer over every pin of usbf_device at paper scale (`infer_full`'s net
+/// embedding), and the narrow 64→8 arrival/slew head over 71,718 pins,
+/// whose 8 output columns take the kernel's 8-column block.
+fn bench_dense(suite: &mut Suite) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut operands = |m: usize, n: usize| {
+        (
+            Tensor::randn(&[m, 64], 0.0, 1.0, &mut rng),
+            Tensor::randn(&[64, n], 0.0, 0.1, &mut rng),
+            Tensor::randn(&[n], 0.0, 0.1, &mut rng),
+        )
+    };
+    let (x, w, b) = operands(46_631, 64);
+    suite.bench("dense_relu/46631x64x64", || x.linear_relu(&w, &b));
+    let (x, w, b) = operands(71_718, 8);
+    suite.bench("dense/71718x64x8", || x.linear(&w, &b));
+}
+
 fn bench_segment_ops(suite: &mut Suite) {
     let mut rng = StdRng::seed_from_u64(1);
     let e = 20_000;
@@ -22,6 +41,8 @@ fn bench_segment_ops(suite: &mut Suite) {
     let segs: Vec<usize> = (0..e).map(|i| i % n).collect();
     suite.bench("segment_sum_20k_32", || x.segment_sum(&segs, n));
     suite.bench("segment_max_20k_32", || x.segment_max(&segs, n));
+    let xg = x.detach().with_grad();
+    suite.bench("segment_max_20k_32/tape", || xg.segment_max(&segs, n));
     suite.bench("gather_20k_32", || x.gather_rows(&segs));
 }
 
@@ -42,6 +63,7 @@ fn bench_backward(suite: &mut Suite) {
 fn main() {
     let mut suite = Suite::new("tensor_ops");
     bench_matmul(&mut suite);
+    bench_dense(&mut suite);
     bench_segment_ops(&mut suite);
     bench_backward(&mut suite);
     suite.finish();

@@ -27,8 +27,9 @@
 //! [`TimingGnn::forward`] over the edited design, because those kernels
 //! decompose by destination row:
 //!
-//! - `gemm` computes each output row with a serial fixed-order k-loop, so
-//!   an MLP over a subset of rows reproduces exactly those rows;
+//! - `gemm` computes each output element with a fixed-order k-loop whose
+//!   bits do not depend on which rows share its register block, so an MLP
+//!   over a subset of rows reproduces exactly those rows;
 //! - `scatter_rows`, `segment_sum` and `segment_max` fold each
 //!   destination's rows in input order, so they reproduce a destination
 //!   whenever it sees the same edges in the same order. The engine lists

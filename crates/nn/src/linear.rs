@@ -3,7 +3,8 @@ use tp_tensor::{xavier_uniform, Tensor};
 
 use crate::Module;
 
-/// A fully connected layer, `y = x·W + b`.
+/// A fully connected layer, `y = x·W + b`, run as one fused tensor op
+/// ([`Tensor::linear`]).
 ///
 /// Weights use Xavier-uniform initialization; biases start at zero.
 ///
@@ -44,7 +45,17 @@ impl Linear {
     ///
     /// Panics if `x` is not rank 2 with `in_features` columns.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        x.matmul(&self.weight).add(&self.bias)
+        x.linear(&self.weight, &self.bias)
+    }
+
+    /// `relu(x·W + b)` as one fused op, bit-identical to
+    /// `self.forward(x).relu()`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Linear::forward`].
+    pub fn forward_relu(&self, x: &Tensor) -> Tensor {
+        x.linear_relu(&self.weight, &self.bias)
     }
 
     /// Input width.

@@ -87,10 +87,11 @@ impl Mlp {
         let mut h = x.clone();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
-            if i != last {
-                h = self.activation.apply(&h);
-            }
+            h = match self.activation {
+                _ if i == last => layer.forward(&h),
+                Activation::Relu => layer.forward_relu(&h),
+                act => act.apply(&layer.forward(&h)),
+            };
         }
         h
     }

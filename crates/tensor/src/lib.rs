@@ -43,6 +43,8 @@
 //! then folds per-design gradients in a fixed block order, so parallel
 //! training stays bit-identical at any thread count.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod autograd;
 mod error;
 mod init;

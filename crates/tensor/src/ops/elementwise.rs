@@ -50,6 +50,25 @@ fn reduce_to(mode: Broadcast, grad: &[f32], cols: usize) -> Vec<f32> {
     }
 }
 
+/// The rows of a `[N, c]` buffer that a `[c]` row vector broadcasts
+/// over. `c == 0` yields none (the buffer is empty then), where a bare
+/// `chunks_exact(0)` would panic.
+fn rows(v: &[f32], c: usize) -> std::slice::ChunksExact<'_, f32> {
+    v.chunks_exact(c.max(1))
+}
+
+/// The gradient `add` gives an `[n]` bias broadcast over an `[m, n]`
+/// matrix: the column sums of `grad`, in row order. (An `[1]` bias takes
+/// the scalar path, as [`broadcast_mode`] decides for `add`.)
+pub(crate) fn bias_grad(grad: &[f32], n: usize) -> Vec<f32> {
+    let mode = if n == 1 {
+        Broadcast::Scalar
+    } else {
+        Broadcast::RowVector
+    };
+    reduce_to(mode, grad, n)
+}
+
 impl Tensor {
     fn binary_op(
         &self,
@@ -67,13 +86,9 @@ impl Tensor {
                 let b = rd[0];
                 ld.iter().map(|&a| fwd(a, b)).collect()
             }
-            Broadcast::RowVector => {
-                let c = rhs.numel();
-                ld.iter()
-                    .enumerate()
-                    .map(|(i, &a)| fwd(a, rd[i % c]))
-                    .collect()
-            }
+            Broadcast::RowVector => rows(&ld, rd.len())
+                .flat_map(|row| row.iter().zip(rd.iter()).map(|(&a, &b)| fwd(a, b)))
+                .collect(),
         };
         drop(ld);
         drop(rd);
@@ -129,15 +144,14 @@ impl Tensor {
     pub fn mul(&self, rhs: &Tensor) -> Tensor {
         self.binary_op(rhs, |a, b| a * b, |mode, cols, lhs, rhs| {
             Box::new(move |g: &[f32]| {
-                let c = rhs.numel();
                 if lhs.requires_grad() {
                     let rd = rhs.data();
                     let gl: Vec<f32> = match mode {
                         Broadcast::Same => g.iter().zip(rd.iter()).map(|(&g, &b)| g * b).collect(),
                         Broadcast::Scalar => g.iter().map(|&g| g * rd[0]).collect(),
-                        Broadcast::RowVector => {
-                            g.iter().enumerate().map(|(i, &g)| g * rd[i % c]).collect()
-                        }
+                        Broadcast::RowVector => rows(g, rd.len())
+                            .flat_map(|row| row.iter().zip(rd.iter()).map(|(&g, &b)| g * b))
+                            .collect(),
                     };
                     drop(rd);
                     lhs.accumulate_grad(&gl);
@@ -160,7 +174,6 @@ impl Tensor {
     pub fn div(&self, rhs: &Tensor) -> Tensor {
         self.binary_op(rhs, |a, b| a / b, |mode, cols, lhs, rhs| {
             Box::new(move |g: &[f32]| {
-                let c = rhs.numel();
                 let rd_snapshot = rhs.to_vec();
                 if lhs.requires_grad() {
                     let gl: Vec<f32> = match mode {
@@ -170,10 +183,8 @@ impl Tensor {
                             .map(|(&g, &b)| g / b)
                             .collect(),
                         Broadcast::Scalar => g.iter().map(|&g| g / rd_snapshot[0]).collect(),
-                        Broadcast::RowVector => g
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &g)| g / rd_snapshot[i % c])
+                        Broadcast::RowVector => rows(g, rd_snapshot.len())
+                            .flat_map(|row| row.iter().zip(&rd_snapshot).map(|(&g, &b)| g / b))
                             .collect(),
                     };
                     lhs.accumulate_grad(&gl);
@@ -194,13 +205,13 @@ impl Tensor {
                                 .map(|(&g, &a)| -g * a / (b * b))
                                 .collect()
                         }
-                        Broadcast::RowVector => g
-                            .iter()
-                            .zip(ld.iter())
-                            .enumerate()
-                            .map(|(i, (&g, &a))| {
-                                let b = rd_snapshot[i % c];
-                                -g * a / (b * b)
+                        Broadcast::RowVector => rows(g, rd_snapshot.len())
+                            .zip(rows(&ld, rd_snapshot.len()))
+                            .flat_map(|(grow, lrow)| {
+                                grow.iter()
+                                    .zip(lrow)
+                                    .zip(&rd_snapshot)
+                                    .map(|((&g, &a), &b)| -g * a / (b * b))
                             })
                             .collect(),
                     };
@@ -391,6 +402,30 @@ mod tests {
         y.backward();
         assert!((a.grad().unwrap()[0] - 1.0 / 3.0).abs() < 1e-6);
         assert!((b.grad().unwrap()[0] + 6.0 / 9.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn mul_and_div_row_vector_gradients() {
+        // y = a ∘ b and y = a / b with b: [3] broadcast over a: [2, 3];
+        // per-element upstream weights make every gradient entry distinct.
+        let w = t(&[1.0, -2.0, 0.5, 3.0, 0.25, -1.0], &[2, 3]);
+        let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).with_grad();
+        let b = t(&[2.0, -4.0, 0.5], &[3]).with_grad();
+        let y = a.mul(&b);
+        assert_eq!(y.to_vec(), vec![2.0, -8.0, 1.5, 8.0, -20.0, 3.0]);
+        y.mul(&w).sum().backward();
+        assert_eq!(a.grad().unwrap(), vec![2.0, 8.0, 0.25, 6.0, -1.0, -0.5]);
+        // db[j] = Σ_i w[i,j]·a[i,j]
+        assert_eq!(b.grad().unwrap(), vec![13.0, -2.75, -4.5]);
+
+        a.zero_grad();
+        b.zero_grad();
+        let y = a.div(&b);
+        assert_eq!(y.to_vec(), vec![0.5, -0.5, 6.0, 2.0, -1.25, 12.0]);
+        y.mul(&w).sum().backward();
+        assert_eq!(a.grad().unwrap(), vec![0.5, 0.5, 1.0, 1.5, -0.0625, -2.0]);
+        // db[j] = Σ_i -w[i,j]·a[i,j] / b[j]²
+        assert_eq!(b.grad().unwrap(), vec![-3.25, 0.171875, 18.0]);
     }
 
     #[test]

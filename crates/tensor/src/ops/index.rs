@@ -174,24 +174,43 @@ impl Tensor {
     ///
     /// Empty segments yield zero. The gradient flows only to the arg-max row
     /// of each (segment, column) pair, matching scatter-max semantics in
-    /// graph learning frameworks.
+    /// graph learning frameworks. Without a tape no arg-max is kept; with
+    /// one it is stored as `u32` row ids.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Tensor::segment_sum`].
+    /// Same conditions as [`Tensor::segment_sum`]; also, when recording a
+    /// tape, if the row count does not fit in a `u32` below `u32::MAX`.
     pub fn segment_max(&self, segments: &[usize], num_segments: usize) -> Tensor {
         let (e, d) = self.shape_obj().as_2d();
         assert_eq!(segments.len(), e, "one segment id per row required");
+        let tape = Tensor::records_tape(std::slice::from_ref(self));
+        // u32::MAX marks a (segment, column) no row reached.
+        let mut argmax = if tape {
+            assert!(
+                e < u32::MAX as usize,
+                "segment_max arg-max ids are u32; {e} rows do not fit"
+            );
+            vec![u32::MAX; num_segments * d]
+        } else {
+            Vec::new()
+        };
         let data = self.data();
         let mut out = vec![f32::NEG_INFINITY; num_segments * d];
-        let mut argmax = vec![usize::MAX; num_segments * d];
         for (r, &s) in segments.iter().enumerate() {
             assert!(s < num_segments, "segment id {s} out of range {num_segments}");
-            for j in 0..d {
-                let v = data[r * d + j];
-                if v > out[s * d + j] {
-                    out[s * d + j] = v;
-                    argmax[s * d + j] = r;
+            let row = &data[r * d..(r + 1) * d];
+            let orow = &mut out[s * d..(s + 1) * d];
+            if tape {
+                let arow = &mut argmax[s * d..(s + 1) * d];
+                for ((o, a), &v) in orow.iter_mut().zip(arow).zip(row) {
+                    let gt = v > *o;
+                    *o = if gt { v } else { *o };
+                    *a = if gt { r as u32 } else { *a };
+                }
+            } else {
+                for (o, &v) in orow.iter_mut().zip(row) {
+                    *o = if v > *o { v } else { *o };
                 }
             }
         }
@@ -201,16 +220,17 @@ impl Tensor {
                 *v = 0.0; // empty segment
             }
         }
-        let argmax = Arc::new(argmax);
+        if !tape {
+            return Tensor::leaf(out, Shape::new(&[num_segments, d]));
+        }
         let src = self.clone();
-        let am = Arc::clone(&argmax);
         let backward: BackwardFn = Box::new(move |g: &[f32]| {
             if src.requires_grad() {
                 let mut gs = vec![0.0; e * d];
-                for (sj, &r) in am.iter().enumerate() {
-                    if r != usize::MAX {
+                for (sj, &r) in argmax.iter().enumerate() {
+                    if r != u32::MAX {
                         let j = sj % d;
-                        gs[r * d + j] += g[sj];
+                        gs[r as usize * d + j] += g[sj];
                     }
                 }
                 src.accumulate_grad(&gs);

@@ -1,86 +1,9 @@
-//! Dense matrix multiplication and 2-D transpose.
+//! Dense matrix multiplication, the fused dense layer, and 2-D transpose.
 
+use super::elementwise::bias_grad;
+use super::gemm::gemm;
 use crate::tensor::BackwardFn;
 use crate::{Shape, Tensor};
-
-/// Default K tile: 256 B rows × 128 ≈ a third of a 32 KiB L1 for the
-/// `b`-panel at the default J tile, leaving room for the output band.
-const DEFAULT_TILE_K: usize = 128;
-/// Default J (output-column) tile: 64 floats = 256 B per `b` row.
-const DEFAULT_TILE_J: usize = 64;
-
-/// `out[m,n] += a[m,k] * b[k,n]`, blocked for cache: the column range is
-/// cut into `tile_j` bands and the inner dimension into `tile_k` panels,
-/// so the `tile_k × tile_j` panel of `b` stays L1-resident while every
-/// row of `a` streams across it. Tiling only regroups the cache
-/// traversal, so any tile sizes yield bit-identical products.
-///
-/// Determinism: for a fixed output element `(i, j)` the contributions are
-/// added in ascending `p` — k-panels ascend and `p` ascends within each
-/// panel, while the j-blocking never touches the same element twice — the
-/// exact accumulation order of the straight i-k-j kernel this replaced.
-/// Same `av == 0.0` skip, so the float-op sequence is identical too.
-fn gemm_rows(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-    (tile_k, tile_j): (usize, usize),
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + tile_j).min(n);
-        let mut p0 = 0;
-        while p0 < k {
-            let p1 = (p0 + tile_k).min(k);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n + j0..i * n + j1];
-                for (off, &av) in arow[p0..p1].iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let p = p0 + off;
-                    let brow = &b[p * n + j0..p * n + j1];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
-                }
-            }
-            p0 = p1;
-        }
-        j0 = j1;
-    }
-}
-
-/// Adaptive dispatch for the gemm: units are multiply-adds (`m·k·n`), the
-/// seed assumes ~1 ns per multiply-add, and the model converges on the
-/// machine's measured throughput after a few regions. Replaces the old
-/// fixed `PAR_MIN_FLOPS` item-count threshold.
-static GEMM_COST: tp_par::CostModel = tp_par::CostModel::new("tensor.gemm", 1.0);
-
-/// Row-parallel gemm. Output rows depend only on the matching rows of `a`,
-/// so tp-par splits the row range across workers; each row's k-loop runs
-/// in the exact order of the serial kernel, keeping every accumulation
-/// bit-identical at any thread count (the determinism contract).
-fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    tp_par::for_each_rows_mut_costed(&GEMM_COST, out, n, (m * k * n) as u64, |_, rows, out_rows| {
-        gemm_rows(
-            &a[rows.start * k..rows.end * k],
-            b,
-            rows.len(),
-            k,
-            n,
-            out_rows,
-            (DEFAULT_TILE_K, DEFAULT_TILE_J),
-        );
-    });
-}
 
 fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     let mut out = vec![0.0; src.len()];
@@ -90,6 +13,29 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
         }
     }
     out
+}
+
+/// Accumulates the gradients of `y = lhs·rhs` (`[m, k] × [k, n]`) from
+/// `g = dL/dy`, reading the operands' values from their forward snapshots:
+/// `dL/dlhs = g·rhsᵀ`, then `dL/drhs = lhsᵀ·g`.
+fn matmul_backward(
+    g: &[f32],
+    (lhs, lhs_snap): (&Tensor, &[f32]),
+    (rhs, rhs_snap): (&Tensor, &[f32]),
+    (m, k, n): (usize, usize, usize),
+) {
+    if lhs.requires_grad() {
+        let bt = transpose(rhs_snap, k, n);
+        let mut ga = vec![0.0; m * k];
+        gemm(g, &bt, m, n, k, &mut ga);
+        lhs.accumulate_grad(&ga);
+    }
+    if rhs.requires_grad() {
+        let at = transpose(lhs_snap, m, k);
+        let mut gb = vec![0.0; k * n];
+        gemm(&at, g, k, m, n, &mut gb);
+        rhs.accumulate_grad(&gb);
+    }
 }
 
 impl Tensor {
@@ -128,23 +74,113 @@ impl Tensor {
             return Tensor::leaf(out, Shape::new(&[m, n]));
         }
 
-        let lhs_snap = self.to_vec();
-        let rhs_snap = rhs.to_vec();
+        let (lhs_snap, rhs_snap) = (self.to_vec(), rhs.to_vec());
         let (lhs_t, rhs_t) = (self.clone(), rhs.clone());
         let backward: BackwardFn = Box::new(move |g: &[f32]| {
-            // dL/dA = G · Bᵀ ; dL/dB = Aᵀ · G
-            if lhs_t.requires_grad() {
-                let bt = transpose(&rhs_snap, k, n);
-                let mut ga = vec![0.0; m * k];
-                gemm(g, &bt, m, n, k, &mut ga);
-                lhs_t.accumulate_grad(&ga);
+            matmul_backward(g, (&lhs_t, &lhs_snap), (&rhs_t, &rhs_snap), (m, k, n));
+        });
+        Tensor::from_op(out, Shape::new(&[m, n]), parents, backward)
+    }
+
+    /// Dense layer `x·W + b` as one op: `self` is `x: [M, K]`, `weight` is
+    /// `[K, N]`, `bias` is `[N]`. Bit-identical to
+    /// `self.matmul(weight).add(bias)` in its output and in every gradient,
+    /// with one output buffer instead of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` or `weight` is not rank 2, the inner dimensions
+    /// disagree, or `bias` is not `[N]`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # use tp_tensor::Tensor;
+    /// # fn main() -> Result<(), tp_tensor::TensorError> {
+    /// let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2])?;
+    /// let w = Tensor::from_vec(vec![1.0, -1.0, 1.0, -1.0], &[2, 2])?;
+    /// let b = Tensor::from_vec(vec![0.5, 0.5], &[2])?;
+    /// assert_eq!(x.linear(&w, &b).to_vec(), vec![3.5, -2.5]);
+    /// assert_eq!(x.linear_relu(&w, &b).to_vec(), vec![3.5, 0.0]);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn linear(&self, weight: &Tensor, bias: &Tensor) -> Tensor {
+        self.dense(weight, bias, false)
+    }
+
+    /// [`Tensor::linear`] followed by ReLU, as one op: bit-identical to
+    /// `self.matmul(weight).add(bias).relu()`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Tensor::linear`].
+    pub fn linear_relu(&self, weight: &Tensor, bias: &Tensor) -> Tensor {
+        self.dense(weight, bias, true)
+    }
+
+    /// The fused dense op. Each output element goes through the float ops
+    /// of `matmul → add → relu` in the same order: the gemm sum, `+ b[j]`,
+    /// then `max(0.0)`. The backward masks the incoming gradient with
+    /// `g · [y > 0]` (the relu backward's exact product; `y > 0` iff its
+    /// input was), sums the bias gradient as `add` does, and hands the
+    /// masked gradient to matmul's backward.
+    fn dense(&self, weight: &Tensor, bias: &Tensor, relu: bool) -> Tensor {
+        let (m, k) = self.shape_obj().as_2d();
+        let (k2, n) = weight.shape_obj().as_2d();
+        assert_eq!(
+            k,
+            k2,
+            "linear inner dims disagree: {} vs {}",
+            self.shape_obj(),
+            weight.shape_obj()
+        );
+        assert_eq!(
+            bias.shape(),
+            [n],
+            "linear bias must be [{n}], got {}",
+            bias.shape_obj()
+        );
+        let mut out = vec![0.0; m * n];
+        gemm(&self.data(), &weight.data(), m, k, n, &mut out);
+        if n > 0 {
+            let bd = bias.data();
+            for row in out.chunks_exact_mut(n) {
+                for (o, &bv) in row.iter_mut().zip(bd.iter()) {
+                    *o += bv;
+                }
+                if relu {
+                    for o in row.iter_mut() {
+                        *o = o.max(0.0);
+                    }
+                }
             }
-            if rhs_t.requires_grad() {
-                let at = transpose(&lhs_snap, m, k);
-                let mut gb = vec![0.0; k * n];
-                gemm(&at, g, k, m, n, &mut gb);
-                rhs_t.accumulate_grad(&gb);
+        }
+        let parents = vec![self.clone(), weight.clone(), bias.clone()];
+        if !Tensor::records_tape(&parents) {
+            return Tensor::leaf(out, Shape::new(&[m, n]));
+        }
+
+        let (x_snap, w_snap) = (self.to_vec(), weight.to_vec());
+        let y_snap = relu.then(|| out.clone());
+        let (x_t, w_t, b_t) = (self.clone(), weight.clone(), bias.clone());
+        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+            let masked: Vec<f32>;
+            let g = match &y_snap {
+                Some(y) => {
+                    masked = g
+                        .iter()
+                        .zip(y)
+                        .map(|(&g, &y)| g * if y > 0.0 { 1.0 } else { 0.0 })
+                        .collect();
+                    &masked[..]
+                }
+                None => g,
+            };
+            if b_t.requires_grad() {
+                b_t.accumulate_grad(&bias_grad(g, n));
             }
+            matmul_backward(g, (&x_t, &x_snap), (&w_t, &w_snap), (m, k, n));
         });
         Tensor::from_op(out, Shape::new(&[m, n]), parents, backward)
     }
@@ -169,56 +205,9 @@ impl Tensor {
 
 #[cfg(test)]
 mod tests {
-    use crate::Tensor;
+    use tp_rng::{prop, Rng, StdRng};
 
-    /// The straight i-k-j kernel the tiled version replaced — kept as the
-    /// bit-identity reference for the accumulation-order contract.
-    fn gemm_ref(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-
-    fn pseudo(seed: usize, len: usize) -> Vec<f32> {
-        (0..len)
-            .map(|i| {
-                let h = (i * 2654435761 + seed * 40503) % 1013;
-                // sprinkle exact zeros so the skip path is exercised
-                if h.is_multiple_of(11) {
-                    0.0
-                } else {
-                    (h as f32 - 506.0) * 0.0173
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn tiled_gemm_is_bit_identical_to_straight_kernel() {
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (17, 129, 65), (5, 300, 2), (64, 64, 64)] {
-            let a = pseudo(m + n, m * k);
-            let b = pseudo(k, k * n);
-            let mut want = vec![0.0; m * n];
-            gemm_ref(&a, &b, m, k, n, &mut want);
-            for &(tk, tj) in &[(1, 1), (2, 3), (7, 5), (128, 64), (4096, 4096)] {
-                let mut got = vec![0.0; m * n];
-                super::gemm_rows(&a, &b, m, k, n, &mut got, (tk, tj));
-                let wb: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
-                let gb: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(wb, gb, "tiles ({tk},{tj}) changed bits at {m}x{k}x{n}");
-            }
-        }
-    }
+    use crate::{collect_grads, no_grad, Tensor};
 
     #[test]
     fn matmul_2x3_3x2() {
@@ -283,6 +272,108 @@ mod tests {
             out
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// `rows × cols` values in [-2, 2) with exact zeros mixed in, so both
+    /// the gemm's zero skip and the ReLU mask see every case.
+    fn values(rng: &mut StdRng, shape: &[usize]) -> Tensor {
+        let n: usize = shape.iter().product();
+        let v = (0..n)
+            .map(|_| {
+                if rng.gen_range(0..6u32) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-2.0f32..2.0)
+                }
+            })
+            .collect();
+        Tensor::from_vec(v, shape).unwrap()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Builds a two-layer net whose first layer is applied twice (to `x`
+    /// and `x2`, sharing `w1`, `b1`), with either the fused ops or the
+    /// `matmul → add → relu` chain, and returns both outputs and the loss.
+    fn two_layer_net(
+        fused: bool,
+        relu: bool,
+        (x, x2): (&Tensor, &Tensor),
+        (w1, b1, w2, b2): (&Tensor, &Tensor, &Tensor, &Tensor),
+        (wy, wz): (&Tensor, &Tensor),
+    ) -> (Tensor, Tensor, Tensor) {
+        let layer = |x: &Tensor, w: &Tensor, b: &Tensor, relu: bool| match (fused, relu) {
+            (true, true) => x.linear_relu(w, b),
+            (true, false) => x.linear(w, b),
+            (false, true) => x.matmul(w).add(b).relu(),
+            (false, false) => x.matmul(w).add(b),
+        };
+        // An interior input, so its gradient flows on through the tape.
+        let y = layer(&layer(&x.mul_scalar(1.0), w1, b1, relu), w2, b2, false);
+        let z = layer(x2, w1, b1, relu);
+        let loss = y.mul(wy).sum().add(&z.mul(wz).sum());
+        (y, z, loss)
+    }
+
+    #[test]
+    fn fused_dense_is_bit_identical_to_matmul_add_relu() {
+        prop::check(
+            "fused_dense_is_bit_identical_to_matmul_add_relu",
+            64,
+            |rng| {
+                let (m, m2) = (rng.gen_range(1..10usize), rng.gen_range(1..6usize));
+                let (k, h) = (rng.gen_range(1..12usize), rng.gen_range(1..20usize));
+                // n = 1 takes `add`'s scalar-broadcast path for the bias.
+                let n = rng.gen_range(1..10usize);
+                let relu = rng.gen_range(0..2u32) == 0;
+                let x = values(rng, &[m, k]).with_grad();
+                let x2 = values(rng, &[m2, k]).with_grad();
+                let params = [
+                    values(rng, &[k, h]).with_grad(),
+                    values(rng, &[h]).with_grad(),
+                    values(rng, &[h, n]).with_grad(),
+                    values(rng, &[n]).with_grad(),
+                ];
+                let (wy, wz) = (values(rng, &[m, n]), values(rng, &[m2, h]));
+                let leaves = [&x, &x2, &params[0], &params[1], &params[2], &params[3]];
+                let run = |fused: bool| {
+                    let net = || {
+                        two_layer_net(
+                            fused,
+                            relu,
+                            (&x, &x2),
+                            (&params[0], &params[1], &params[2], &params[3]),
+                            (&wy, &wz),
+                        )
+                    };
+                    // With a tape: outputs and every leaf gradient.
+                    leaves.iter().for_each(|t| t.zero_grad());
+                    let (y, z, loss) = net();
+                    loss.backward();
+                    let mut taped =
+                        vec![bits(&y.to_vec()), bits(&z.to_vec()), bits(&loss.to_vec())];
+                    taped.extend(leaves.iter().map(|t| bits(&t.grad().unwrap())));
+                    // Without one: outputs only.
+                    let (y, z, loss) = no_grad(net);
+                    let untaped = [y, z, loss].map(|t| bits(&t.to_vec()));
+                    // Through the gradient sink the trainer uses.
+                    let (_, sunk) = collect_grads(&params, || net().2.backward());
+                    let sunk: Vec<Vec<u32>> =
+                        sunk.iter().map(|g| bits(g.as_ref().unwrap())).collect();
+                    (taped, untaped, sunk)
+                };
+                assert_eq!(run(false), run(true), "{m}x{k}x{h}x{n} relu={relu}");
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "linear bias must be [2]")]
+    fn linear_rejects_a_bias_of_the_wrong_width() {
+        let x = Tensor::zeros(&[1, 3]);
+        let _ = x.linear(&Tensor::zeros(&[3, 2]), &Tensor::zeros(&[3]));
     }
 
     #[test]

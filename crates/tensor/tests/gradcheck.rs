@@ -6,7 +6,7 @@
 //! with random weights `w`, compute analytic gradients via backprop, and
 //! compare against `(L(x+h) - L(x-h)) / 2h` per coordinate.
 
-use tp_rng::{prop, StdRng};
+use tp_rng::{prop, Rng, StdRng};
 use tp_tensor::Tensor;
 
 const H: f32 = 1e-2;
@@ -109,6 +109,53 @@ fn grad_matmul() {
     prop::check("grad_matmul", CASES, |rng| {
         let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25, 1.5, -0.75], &[3, 2]).unwrap();
         check_op(vals(rng, 6), &[2, 3], move |x| x.matmul(&w).sum());
+    });
+}
+
+#[test]
+fn grad_linear() {
+    prop::check("grad_linear", CASES, |rng| {
+        let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25, 1.5, -0.75], &[3, 2]).unwrap();
+        let b = Tensor::from_slice(&[0.3, -0.6]);
+        let wts = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[2, 2]).unwrap();
+        let x = vals(rng, 6);
+        check_op(x.clone(), &[2, 3], |x| x.linear(&w, &b).mul(&wts).sum());
+        let x = Tensor::from_vec(x, &[2, 3]).unwrap();
+        check_op(vals(rng, 6), &[3, 2], |w| x.linear(w, &b).mul(&wts).sum());
+        check_op(vals(rng, 2), &[2], |b| x.linear(&w, b).mul(&wts).sum());
+    });
+}
+
+/// The ReLU kink sits where a pre-activation crosses zero, and a central
+/// difference straddling it is meaningless. So inputs are positive, column
+/// 0's weights and bias keep every pre-activation above 0.35 (live) and
+/// column 1's keep it below -0.45 (masked), while an `H`-sized nudge of
+/// any operand moves a pre-activation by at most 0.02.
+#[test]
+fn grad_linear_relu() {
+    prop::check("grad_linear_relu", CASES, |rng| {
+        let w = Tensor::from_vec(vec![0.5, -1.0, 0.25, -0.5, 1.5, -0.75], &[3, 2]).unwrap();
+        let b = Tensor::from_slice(&[0.1, -0.2]);
+        let wts = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[2, 2]).unwrap();
+        let x = vals_nonzero(rng, 6);
+        check_op(x.clone(), &[2, 3], |x| {
+            x.linear_relu(&w, &b).mul(&wts).sum()
+        });
+        let x = Tensor::from_vec(x, &[2, 3]).unwrap();
+        let w_vals: Vec<f32> = (0..6)
+            .map(|i| {
+                let v = rng.gen_range(0.3f32..2.0);
+                if i % 2 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            })
+            .collect();
+        check_op(w_vals, &[3, 2], |w| x.linear_relu(w, &b).mul(&wts).sum());
+        check_op(vec![0.5, -1.5], &[2], |b| {
+            x.linear_relu(&w, b).mul(&wts).sum()
+        });
     });
 }
 

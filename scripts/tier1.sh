@@ -36,6 +36,12 @@ step "tests (offline, 4-thread pool)"
 # bits must pass at both thread counts — that is the determinism contract.
 TP_THREADS=4 cargo test -q --workspace --offline
 
+step "tp-tensor tests under the optimizer (release)"
+# The gemm microkernel is register-blocked AVX2 code whose bit identity
+# with the straight reference kernel must hold as the optimizer compiles
+# it, not only in debug builds.
+cargo test -q --release --offline -p tp-tensor
+
 step "partitioned training smoke (TP_SCALE=0.05 example)"
 # The training example under a partition budget: the whole fit must
 # complete and reach a finite loss. Besides the tiny one-epoch run of the
@@ -118,6 +124,14 @@ if sed -n '/^\[dependencies\]/,$p' crates/partition/Cargo.toml \
     | grep -E '^[a-z0-9_-]+ *=' | grep -v '^tp-[a-z-]* *= *{ *workspace = true' \
     | grep -v '^tp-[a-z-]*\.workspace *= *true'; then
     echo "tier1: FAIL — non-workspace dependency in tp-partition above" >&2
+    exit 1
+fi
+
+step "gemm stays FMA-free (no fma target feature, no _fmadd intrinsic)"
+# Every gemm element is multiply-then-add in ascending k; a fused
+# multiply-add rounds once instead of twice and would change result bits.
+if grep -rnE 'target_feature.*fma|_fmadd' crates/tensor/src; then
+    echo "tier1: FAIL — FMA in tp-tensor above; the gemm must multiply then add" >&2
     exit 1
 fi
 
