@@ -62,12 +62,3 @@ impl Client {
         }
     }
 }
-
-/// One-shot convenience: connect, send one request, return the reply.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn request(addr: SocketAddr, line: &str) -> std::io::Result<Option<String>> {
-    Client::connect(addr)?.send(line)
-}

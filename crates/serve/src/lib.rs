@@ -28,12 +28,7 @@
 //! - **Registry** ([`registry`]) — the wire `register` op ships design
 //!   parameters over JSONL; builds are cached under a content hash so
 //!   re-registration and duplicate designs are free (DESIGN.md §12).
-//! - **Batching** ([`batch`]) — a bounded coalescing window
-//!   (`TP_BATCH_WINDOW_US` / `TP_BATCH_MAX`) gathers concurrent
-//!   batchable requests across designs into one dispatch; replies stay
-//!   bit-identical to serial execution (DESIGN.md §12).
 
-pub(crate) mod batch;
 pub mod client;
 pub mod json;
 pub mod protocol;

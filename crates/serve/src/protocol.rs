@@ -288,26 +288,6 @@ pub fn error_reply(id: Option<u64>, kind: &str, detail: &str) -> String {
     )
 }
 
-/// Re-addresses a rendered reply from one request id to another.
-///
-/// Replies are a pure function of `(id, body)` — the id is the only
-/// per-request byte in an `ok_reply`/`error_reply` — so swapping the id
-/// prefix yields exactly the bytes the same body would have rendered
-/// under the other id. The batch executor uses this to fan one shared
-/// execution back out to every identical read-only query in a batch.
-///
-/// # Panics
-///
-/// Panics (debug assertion) if `reply` was not rendered under `from`.
-pub fn readdress_reply(reply: &str, from: Option<u64>, to: Option<u64>) -> String {
-    let old = format!("{{{}", id_field(from));
-    debug_assert!(
-        reply.starts_with(&old),
-        "reply {reply:?} was not addressed to {from:?}"
-    );
-    format!("{{{}{}", id_field(to), &reply[old.len()..])
-}
-
 /// Renders a `register` request line for `spec` — the canonical client
 /// side of the wire format (used by the scenarios serve evaluator and
 /// tests so every producer emits identical bytes for identical specs).
@@ -349,25 +329,6 @@ pub fn f32_array(values: &[f32]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn readdress_swaps_exactly_the_id_prefix() {
-        let body = "\"design\":\"spm\",\"pins\":42";
-        let under_4 = ok_reply(Some(4), body);
-        assert_eq!(readdress_reply(&under_4, Some(4), Some(9)), ok_reply(Some(9), body));
-        assert_eq!(readdress_reply(&under_4, Some(4), None), ok_reply(None, body));
-        let anon = error_reply(None, "bad_request", "nope");
-        assert_eq!(
-            readdress_reply(&anon, None, Some(7)),
-            error_reply(Some(7), "bad_request", "nope")
-        );
-        // The id value itself is untouched even when it appears in the body.
-        let tricky = ok_reply(Some(4), "\"echo\":\"id\\\":4\"");
-        assert_eq!(
-            readdress_reply(&tricky, Some(4), Some(5)),
-            ok_reply(Some(5), "\"echo\":\"id\\\":4\"")
-        );
-    }
 
     #[test]
     fn parses_every_op() {

@@ -23,9 +23,6 @@ pub struct DesignSession {
     inc: IncrementalGnn,
     snapshot_version: u64,
     tainted: bool,
-    /// Content hash of the `register` spec this session was built from
-    /// (`None` for in-process registrations).
-    content_hash: Option<u64>,
 }
 
 impl DesignSession {
@@ -41,7 +38,6 @@ impl DesignSession {
             inc: IncrementalGnn::new(Arc::clone(&snapshot.model), design, placement),
             snapshot_version: snapshot.version,
             tainted: false,
-            content_hash: None,
         }
     }
 
@@ -54,20 +50,13 @@ impl DesignSession {
         design: DesignGraph,
         placement: Placement,
         plan: PropPlan,
-        content_hash: Option<u64>,
     ) -> DesignSession {
         DesignSession {
             name: name.to_string(),
             inc: IncrementalGnn::with_plan(Arc::clone(&snapshot.model), design, placement, plan),
             snapshot_version: snapshot.version,
             tainted: false,
-            content_hash,
         }
-    }
-
-    /// Content hash of the wire `register` spec, if any.
-    pub fn content_hash(&self) -> Option<u64> {
-        self.content_hash
     }
 
     /// The registered name.

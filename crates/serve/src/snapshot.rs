@@ -9,7 +9,6 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use tp_gnn::checkpoint::{fnv1a64, latest_valid, Checkpoint, CheckpointError};
@@ -73,7 +72,6 @@ impl From<tp_nn::SerializeError> for SnapshotError {
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<ModelSnapshot>>,
-    next_version: AtomicU64,
     config: ModelConfig,
 }
 
@@ -98,7 +96,6 @@ impl SnapshotStore {
         });
         Ok(SnapshotStore {
             current: RwLock::new(snapshot),
-            next_version: AtomicU64::new(2),
             config,
         })
     }
@@ -139,14 +136,16 @@ impl SnapshotStore {
         let staged = TimingGnn::new(&self.config);
         tp_nn::load_parameters(&staged.parameters(), ckpt.model.as_slice())
             .map_err(|e| SnapshotError::Params(format!("{e:?}")))?;
+        // The version is taken under the write lock, so concurrent
+        // installs publish versions in the order they land.
+        let mut cur = self.current.write().unwrap_or_else(|p| p.into_inner());
         let snapshot = Arc::new(ModelSnapshot {
             model: Arc::new(staged),
-            version: self.next_version.fetch_add(1, Ordering::Relaxed),
+            version: cur.version + 1,
             epoch: ckpt.epoch,
             checksum: fnv1a64(&ckpt.model),
             source: source.to_string(),
         });
-        let mut cur = self.current.write().unwrap_or_else(|p| p.into_inner());
         *cur = Arc::clone(&snapshot);
         tp_obs::metrics::count("serve.hot_swaps", 1);
         Ok(snapshot)
@@ -231,6 +230,41 @@ mod tests {
         for (a, b) in trained.parameters().iter().zip(snap.model.parameters()) {
             assert_eq!(a.to_vec(), b.to_vec());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_hot_swaps_publish_distinct_monotone_versions() {
+        let cfg = small_config();
+        let store = SnapshotStore::new(cfg.clone(), TimingGnn::new(&cfg), "seed").expect("boot");
+        let dir = scratch("concurrent");
+        let path = checkpoint_path(&dir, 1);
+        checkpoint_for(&TimingGnn::new(&cfg), 1).write_atomic(&path).expect("write");
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 40;
+        let start = std::sync::Barrier::new(THREADS);
+        let mut versions = Vec::new();
+        for round in 1..=ROUNDS {
+            versions.extend(std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            store.load_checkpoint(&path).expect("valid checkpoint").version
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("swap thread"))
+                    .collect::<Vec<u64>>()
+            }));
+            // Whichever swap landed last published the highest version.
+            assert_eq!(store.current().version, 1 + (round * THREADS) as u64, "round {round}");
+        }
+        versions.sort_unstable();
+        let expected: Vec<u64> = (2..2 + (ROUNDS * THREADS) as u64).collect();
+        assert_eq!(versions, expected, "each swap publishes its own version");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

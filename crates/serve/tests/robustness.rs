@@ -54,8 +54,6 @@ fn serve_config(queue_depth: usize, deadline_ms: u64, faults: FaultPlan) -> Serv
         queue_depth,
         deadline_ms,
         snapshot_dir: None,
-        batch_window_us: 0,
-        batch_max: 16,
         lib_seed: 0,
         model_config: small_config(),
         faults,
@@ -222,6 +220,35 @@ fn zero_deadline_disables_the_timer() {
     let report = server.shutdown();
     assert_eq!(report.timed_out, 0, "no deadline may fire when disabled");
     assert_eq!(report.served, 2);
+}
+
+#[test]
+fn error_replies_are_not_counted_as_served() {
+    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    // No snapshot dir is configured, so a path-less reload is refused.
+    let server = start(serve_config(8, 30_000, FaultPlan::none()));
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let refusals = [
+        (r#"{"op":"predict","design":"nope","id":1}"#, "unknown_design"),
+        (r#"{"op":"register","design":"not-a-benchmark","id":2}"#, "bad_request"),
+        (r#"{"op":"reload","id":3}"#, "snapshot_rejected"),
+        (
+            r#"{"op":"move_pins","design":"spm","moves":[{"pin":1000000,"x":1.0,"y":1.0}],"id":4}"#,
+            "bad_request",
+        ),
+    ];
+    for (line, kind) in refusals {
+        assert_error(&roundtrip(&mut client, line), kind);
+    }
+    let stats = roundtrip(&mut client, r#"{"op":"stats","id":5}"#);
+    assert_ok(&stats);
+    assert_eq!(stats.get("requests").and_then(JsonValue::as_u64), Some(5));
+    assert_eq!(stats.get("served").and_then(JsonValue::as_u64), Some(0));
+
+    let report = server.shutdown();
+    assert_eq!(report.requests_total, 5);
+    assert_eq!(report.served, 1, "only the stats reply succeeded: {report:?}");
 }
 
 #[test]

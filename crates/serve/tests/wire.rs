@@ -1,12 +1,12 @@
-//! Wire-level batching equivalence: coalesced replies must be
-//! **bit-identical** to serial execution.
+//! Wire-level contracts: concurrent replies must be **bit-identical** to
+//! serial execution, and the `register` op builds and caches designs.
 //!
 //! Every test registers its designs over the wire (the `register` op —
-//! no out-of-band `register_design` calls), captures a serial baseline
-//! with batching disabled, then replays the identical request scripts
-//! from concurrent clients under coalescing windows of various widths.
-//! A batched reply that differs from its serial twin by one byte —
-//! including the `prediction_hash` — is a test failure.
+//! no out-of-band `register_design` calls). The concurrency test captures
+//! a serial baseline, then replays the identical request scripts from
+//! concurrent clients. A concurrent reply that differs from its serial
+//! twin by one byte — including the `prediction_hash` — is a test
+//! failure.
 //!
 //! The server's `REQUEST_COST` EWMA and the tp-obs registry are
 //! process-global, so tests serialize on a mutex.
@@ -32,15 +32,13 @@ fn small_config() -> ModelConfig {
     }
 }
 
-fn serve_config(window_us: u64, max: usize) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         queue_depth: 64,
-        // Deadlines off: a wide coalescing window must never race a timer.
+        // Deadlines off: a slow concurrent request must never race a timer.
         deadline_ms: 0,
         snapshot_dir: None,
-        batch_window_us: window_us,
-        batch_max: max,
         lib_seed: 0,
         model_config: small_config(),
         faults: FaultPlan::none(),
@@ -74,8 +72,8 @@ fn assert_ok(v: &JsonValue, what: &str) {
 }
 
 /// Boots a server and registers all three designs through the wire.
-fn boot(window_us: u64, max: usize) -> Server {
-    let config = serve_config(window_us, max);
+fn boot() -> Server {
+    let config = serve_config();
     let model = TimingGnn::new(&config.model_config);
     let server = Server::start(config, model).expect("bind loopback");
     let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -117,9 +115,9 @@ fn run_script(addr: SocketAddr, design: &str) -> Vec<String> {
         .collect()
 }
 
-/// Serial reference: batching off, one client, one design at a time.
+/// Serial reference: one client, one design at a time.
 fn serial_baseline() -> BTreeMap<String, Vec<String>> {
-    let server = boot(0, 16);
+    let server = boot();
     let addr = server.local_addr();
     let replies = DESIGNS
         .iter()
@@ -131,121 +129,74 @@ fn serial_baseline() -> BTreeMap<String, Vec<String>> {
 }
 
 #[test]
-fn batched_replies_are_bit_identical_to_serial() {
+fn concurrent_replies_are_bit_identical_to_serial() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let baseline = serial_baseline();
 
-    // Window widths in µs: disabled, sub-millisecond, and wide enough
-    // that whole scripts coalesce.
-    for window_us in [0u64, 500, 5_000] {
-        let server = boot(window_us, 16);
-        let addr = server.local_addr();
-
-        // Phase A: one concurrent client per design replays its script.
-        let concurrent: Vec<(String, Vec<String>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = DESIGNS
-                .iter()
-                .map(|d| s.spawn(move || (d.to_string(), run_script(addr, d))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        for (design, replies) in &concurrent {
-            assert_eq!(
-                replies, &baseline[design],
-                "window {window_us}µs: batched replies for {design} diverged from serial"
-            );
-        }
-
-        // Phase B: a read storm — three clients per design hammer the
-        // post-move state with idempotent predict/slack queries. Every
-        // reply must match the serial post-move bytes.
-        let post_move: BTreeMap<&str, (&String, &String)> = DESIGNS
-            .iter()
-            .map(|&d| (d, (&baseline[d][3], &baseline[d][4])))
-            .collect();
-        std::thread::scope(|s| {
-            for &design in &DESIGNS {
-                let (predict_ref, slack_ref) = post_move[design];
-                for j in 0..3u64 {
-                    s.spawn(move || {
-                        let mut client = Client::connect(addr).expect("connect");
-                        // Distinct ids per client: coalesced duplicates
-                        // must come back re-addressed to *this* request,
-                        // byte-equal to what a serial run would render.
-                        let (pid, sid) = (400 + j, 500 + j);
-                        let expect_p = predict_ref.replacen("\"id\":4,", &format!("\"id\":{pid},"), 1);
-                        let expect_s = slack_ref.replacen("\"id\":5,", &format!("\"id\":{sid},"), 1);
-                        for _ in 0..2 {
-                            let p = client
-                                .send(&format!(
-                                    r#"{{"op":"predict","design":"{design}","id":{pid}}}"#
-                                ))
-                                .expect("socket alive")
-                                .expect("server replied");
-                            assert_eq!(p, expect_p, "window {window_us}µs");
-                            let sl = client
-                                .send(&format!(
-                                    r#"{{"op":"slack","design":"{design}","id":{sid}}}"#
-                                ))
-                                .expect("socket alive")
-                                .expect("server replied");
-                            assert_eq!(sl, expect_s, "window {window_us}µs");
-                        }
-                    });
-                }
-            }
-        });
-
-        let report = server.shutdown();
-        assert_eq!(report.panicked, 0, "window {window_us}µs");
-        assert_eq!(report.timed_out, 0, "deadlines are disabled");
-    }
-}
-
-#[test]
-fn coalescing_actually_batches_and_accounts_every_request() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    tp_obs::reset();
-    tp_obs::enable();
-
-    // A wide window with room to coalesce: 9 storm clients × 4 batchable
-    // requests land in shared dispatch windows.
-    let server = boot(5_000, 8);
+    let server = boot();
     let addr = server.local_addr();
+
+    // Phase A: one concurrent client per design replays its script.
+    let concurrent: Vec<(String, Vec<String>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = DESIGNS
+            .iter()
+            .map(|d| s.spawn(move || (d.to_string(), run_script(addr, d))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    for (design, replies) in &concurrent {
+        assert_eq!(
+            replies, &baseline[design],
+            "concurrent replies for {design} diverged from serial"
+        );
+    }
+
+    // Phase B: a read storm — three clients per design hammer the
+    // post-move state with idempotent predict/slack queries. Every
+    // reply must match the serial post-move bytes.
+    let post_move: BTreeMap<&str, (&String, &String)> = DESIGNS
+        .iter()
+        .map(|&d| (d, (&baseline[d][3], &baseline[d][4])))
+        .collect();
     std::thread::scope(|s| {
         for &design in &DESIGNS {
-            for _ in 0..3 {
+            let (predict_ref, slack_ref) = post_move[design];
+            for j in 0..3u64 {
                 s.spawn(move || {
                     let mut client = Client::connect(addr).expect("connect");
+                    // Distinct ids per client: each reply must carry its
+                    // own request's id, byte-equal to what a serial run
+                    // renders under that id.
+                    let (pid, sid) = (400 + j, 500 + j);
+                    let expect_p = predict_ref.replacen("\"id\":4,", &format!("\"id\":{pid},"), 1);
+                    let expect_s = slack_ref.replacen("\"id\":5,", &format!("\"id\":{sid},"), 1);
                     for _ in 0..2 {
-                        for op in ["predict", "slack"] {
-                            let raw = client
-                                .send(&format!(r#"{{"op":"{op}","design":"{design}","id":1}}"#))
-                                .expect("socket alive")
-                                .expect("server replied");
-                            assert_ok(&parse(&raw), op);
-                        }
+                        let p = client
+                            .send(&format!(
+                                r#"{{"op":"predict","design":"{design}","id":{pid}}}"#
+                            ))
+                            .expect("socket alive")
+                            .expect("server replied");
+                        assert_eq!(p, expect_p);
+                        let sl = client
+                            .send(&format!(
+                                r#"{{"op":"slack","design":"{design}","id":{sid}}}"#
+                            ))
+                            .expect("socket alive")
+                            .expect("server replied");
+                        assert_eq!(sl, expect_s);
                     }
                 });
             }
         }
     });
+
     let report = server.shutdown();
     assert_eq!(report.panicked, 0);
-
-    let data = tp_obs::drain();
-    tp_obs::disable();
-    let sizes = data
-        .histogram("serve.batch_size")
-        .expect("batch dispatch must record coalesce sizes");
-    // Every batchable request is dispatched exactly once, whatever the
-    // coalescing pattern was: 9 clients × 4 queries.
-    assert_eq!(sizes.sum, 36, "requests lost or duplicated by batching");
-    assert_eq!(data.counter_value("serve.batches"), sizes.count);
-    assert!(sizes.max as usize <= 8, "batches capped at TP_BATCH_MAX");
+    assert_eq!(report.timed_out, 0, "deadlines are disabled");
 }
 
 #[test]
@@ -254,7 +205,7 @@ fn register_round_trips_and_caches_over_the_wire() {
     tp_obs::reset();
     tp_obs::enable();
 
-    let config = serve_config(0, 16);
+    let config = serve_config();
     let model = TimingGnn::new(&config.model_config);
     let server = Server::start(config, model).expect("bind loopback");
     let mut client = Client::connect(server.local_addr()).expect("connect");

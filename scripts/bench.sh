@@ -54,7 +54,7 @@ export TP_THREADS="${TP_THREADS:-4}"
 export TP_SCALE="${TP_SCALE:-default}"
 export TP_PARTITION_NODES="${TP_PARTITION_NODES:-0}"
 export TP_BENCH_OUT="$OUT_DIR"
-SUITES=(train sta engines models tensor_ops scenarios serve serve_batch)
+SUITES=(train sta engines models tensor_ops scenarios serve)
 for suite in "${SUITES[@]}"; do
     echo "== bench: $suite (TP_THREADS=$TP_THREADS) =="
     run_suite "$suite"

@@ -26,8 +26,8 @@ cargo build --workspace --release --offline --all-targets
 
 # Every suite runs in both workspace passes: unit and integration tests of
 # every member crate and of the root package (fault tolerance,
-# determinism, fuzzing, observability goldens, sweeps, partitioning,
-# serving and batching included).
+# determinism, fuzzing, observability goldens, sweeps, partitioning and
+# serving included).
 step "tests (offline, single-threaded pool)"
 TP_THREADS=1 cargo test -q --workspace --offline
 
@@ -79,8 +79,8 @@ fi
 rm -rf "$SWEEP_SCRATCH"
 
 step "sweep-through-serve smoke (example, scratch dir)"
-# The same grid evaluated in-process and streamed through a live batched
-# server over JSONL; exits nonzero unless journal and report come back
+# The same grid evaluated in-process and streamed through a live server
+# over JSONL; exits nonzero unless journal and report come back
 # byte-identical — the serve-streaming contract, exercised end to end.
 SERVE_SWEEP_SCRATCH="$(mktemp -d)"
 if ! TP_SWEEP_OUT="$SERVE_SWEEP_SCRATCH/demo" \
@@ -141,6 +141,28 @@ step "autograd tape stays Arc-based (no Rc in the tape)"
 # single-threaded and then poison every parallel training path.
 if grep -n 'Rc<' crates/tensor/src/tensor.rs crates/tensor/src/autograd.rs; then
     echo "tier1: FAIL — Rc found in the autograd tape; it must stay Arc" >&2
+    exit 1
+fi
+
+step "README knobs are read by the code"
+# Every TP_* name README.md documents must have a reader: a string
+# literal in Rust under crates/*/src, src or examples, or a shell
+# expansion under scripts/ (this script excluded). A `TP_FOO_*` family
+# needs a reader of some TP_FOO_ name. Deleting a knob's code without
+# its README text fails here.
+UNREAD=""
+for knob in $(grep -oE 'TP_[A-Z0-9_]+' README.md | sort -u); do
+    case "$knob" in
+        *_) literal="\"$knob"; expansion="\\\$\\{?$knob" ;;
+        *) literal="\"$knob\""; expansion="\\\$\\{?$knob([^A-Z0-9_]|\$)" ;;
+    esac
+    if ! grep -rqF --include='*.rs' "$literal" crates/*/src src examples \
+        && ! grep -rqE --exclude=tier1.sh "$expansion" scripts; then
+        UNREAD="$UNREAD $knob"
+    fi
+done
+if [ -n "$UNREAD" ]; then
+    echo "tier1: FAIL — README.md documents knobs nothing reads:$UNREAD" >&2
     exit 1
 fi
 
