@@ -2,7 +2,7 @@
 
 use tp_rng::StdRng;
 use tp_data::{DesignGraph, PIN_FEATURES};
-use tp_nn::{Activation, Linear, Mlp, Module};
+use tp_nn::{Linear, Mlp, Module};
 use tp_tensor::ops::elementwise::mask_rows;
 use tp_tensor::Tensor;
 
@@ -110,7 +110,7 @@ impl Gcnii {
             layer_weights: (0..config.layers)
                 .map(|_| Linear::new(config.dim, config.dim, &mut rng))
                 .collect(),
-            head: Mlp::new(config.dim, &[config.dim], 8, Activation::Relu, &mut rng),
+            head: Mlp::new(config.dim, &[config.dim], 8, &mut rng),
             config: *config,
         }
     }

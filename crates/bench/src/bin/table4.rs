@@ -16,7 +16,7 @@ const LOG_EPS: f32 = 1e-3;
 /// Trains the statistics MLP with minibatches over pooled rows.
 fn train_stats_mlp(pool: &StatsDataset, seed: u64, steps: usize) -> Mlp {
     let mut rng = tp_rng::StdRng::seed_from_u64(seed);
-    let mlp = Mlp::new(STATS_FEATURES, &[64, 64, 64], 4, tp_nn::Activation::Relu, &mut rng);
+    let mlp = Mlp::new(STATS_FEATURES, &[64, 64, 64], 4, &mut rng);
     let mut opt = Adam::new(mlp.parameters(), 1e-3);
     let n = pool.len();
     let batch = 2048.min(n);

@@ -10,7 +10,7 @@
 
 use tp_rng::StdRng;
 use tp_data::CELL_EDGE_FEATURES;
-use tp_nn::{Activation, Mlp, Module};
+use tp_nn::{Mlp, Module};
 use tp_tensor::Tensor;
 
 /// Layout constants of the cell-edge feature vector (see `tp_data`).
@@ -34,8 +34,8 @@ impl LutModule {
         // Conditioning: source state + all 8 LUTs' axis indices + flags.
         let cond = state_dim + 8 * IDX_PER_LUT + VALID_FLAGS;
         LutModule {
-            coef_slew: Mlp::new(cond, hidden, 7, Activation::Relu, rng),
-            coef_load: Mlp::new(cond, hidden, 7, Activation::Relu, rng),
+            coef_slew: Mlp::new(cond, hidden, 7, rng),
+            coef_load: Mlp::new(cond, hidden, 7, rng),
             state_dim,
         }
     }

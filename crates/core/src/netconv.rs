@@ -2,7 +2,7 @@
 
 use tp_rng::StdRng;
 use tp_data::{DesignGraph, NET_EDGE_FEATURES, PIN_FEATURES};
-use tp_nn::{Activation, Mlp, Module};
+use tp_nn::{Mlp, Module};
 use tp_tensor::ops::elementwise::mask_rows;
 use tp_tensor::Tensor;
 
@@ -21,21 +21,9 @@ impl NetConv {
     /// `out_dim`, with `hidden`-wide MLPs.
     pub fn new(in_dim: usize, out_dim: usize, hidden: &[usize], rng: &mut StdRng) -> NetConv {
         NetConv {
-            broadcast: Mlp::new(
-                2 * in_dim + NET_EDGE_FEATURES,
-                hidden,
-                out_dim,
-                Activation::Relu,
-                rng,
-            ),
-            reduce_msg: Mlp::new(
-                in_dim + out_dim + NET_EDGE_FEATURES,
-                hidden,
-                out_dim,
-                Activation::Relu,
-                rng,
-            ),
-            combine: Mlp::new(in_dim + 2 * out_dim, hidden, out_dim, Activation::Relu, rng),
+            broadcast: Mlp::new(2 * in_dim + NET_EDGE_FEATURES, hidden, out_dim, rng),
+            reduce_msg: Mlp::new(in_dim + out_dim + NET_EDGE_FEATURES, hidden, out_dim, rng),
+            combine: Mlp::new(in_dim + 2 * out_dim, hidden, out_dim, rng),
             out_dim,
         }
     }
@@ -149,7 +137,7 @@ impl NetEmbed {
             NetConv::new(embed_dim, embed_dim, hidden, &mut rng),
             NetConv::new(embed_dim, embed_dim, hidden, &mut rng),
         ];
-        let net_delay_head = Mlp::new(embed_dim, hidden, 4, Activation::Relu, &mut rng);
+        let net_delay_head = Mlp::new(embed_dim, hidden, 4, &mut rng);
         NetEmbed {
             layers,
             net_delay_head,

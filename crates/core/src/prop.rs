@@ -10,7 +10,7 @@
 
 use tp_rng::StdRng;
 use tp_data::{DesignGraph, PIN_FEATURES};
-use tp_nn::{Activation, Mlp, Module};
+use tp_nn::{Mlp, Module};
 use tp_tensor::Tensor;
 
 use crate::{Ablation, LutModule, PropPlan};
@@ -72,32 +72,14 @@ impl Propagation {
     ) -> Propagation {
         let mut rng = StdRng::seed_from_u64(seed);
         Propagation {
-            init: Mlp::new(
-                PIN_FEATURES + embed_dim,
-                hidden,
-                prop_dim,
-                Activation::Relu,
-                &mut rng,
-            ),
-            net_prop: Mlp::new(
-                prop_dim + tp_data::NET_EDGE_FEATURES,
-                hidden,
-                prop_dim,
-                Activation::Relu,
-                &mut rng,
-            ),
+            init: Mlp::new(PIN_FEATURES + embed_dim, hidden, prop_dim, &mut rng),
+            net_prop: Mlp::new(prop_dim + tp_data::NET_EDGE_FEATURES, hidden, prop_dim, &mut rng),
             lut: LutModule::new(prop_dim, hidden, &mut rng),
-            cell_msg: Mlp::new(
-                prop_dim + LutModule::OUT_DIM,
-                hidden,
-                prop_dim,
-                Activation::Relu,
-                &mut rng,
-            ),
-            cell_combine: Mlp::new(2 * prop_dim, hidden, prop_dim, Activation::Relu, &mut rng),
-            post: Mlp::new(2 * prop_dim, &[], prop_dim, Activation::Relu, &mut rng),
-            atslew_head: Mlp::new(prop_dim, hidden, 8, Activation::Relu, &mut rng),
-            celld_head: Mlp::new(prop_dim, hidden, 4, Activation::Relu, &mut rng),
+            cell_msg: Mlp::new(prop_dim + LutModule::OUT_DIM, hidden, prop_dim, &mut rng),
+            cell_combine: Mlp::new(2 * prop_dim, hidden, prop_dim, &mut rng),
+            post: Mlp::new(2 * prop_dim, &[], prop_dim, &mut rng),
+            atslew_head: Mlp::new(prop_dim, hidden, 8, &mut rng),
+            celld_head: Mlp::new(prop_dim, hidden, 4, &mut rng),
             prop_dim,
             ablation,
         }

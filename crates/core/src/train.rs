@@ -378,10 +378,7 @@ impl Trainer {
     /// wraps steps in the divergence guard.
     pub fn step(&mut self, design: &DesignGraph) -> LossParts {
         let plan = self.plan_for(design);
-        let pred = self.model.forward(design, &plan);
-        let (loss, parts) = combined_loss(design, &plan, &pred, self.config.aux);
-        self.optimizer.zero_grad();
-        loss.backward();
+        let parts = self.design_grads(design, &plan);
         clip_grad_norm(&self.params, self.config.grad_clip);
         self.optimizer.step();
         parts
@@ -406,12 +403,12 @@ impl Trainer {
 
     /// Per-design SGD gradients: one forward/backward on `design`, leaving
     /// the gradients in the parameters' own slots.
-    fn design_grads(&self, design: &DesignGraph, plan: &PropPlan) -> Vec<LossParts> {
+    fn design_grads(&self, design: &DesignGraph, plan: &PropPlan) -> LossParts {
         let pred = self.model.forward(design, plan);
         let (loss, parts) = combined_loss(design, plan, &pred, self.config.aux);
         self.optimizer.zero_grad();
         loss.backward();
-        vec![parts]
+        parts
     }
 
     /// Batch gradients: forward/backward for every design of the batch runs
@@ -638,7 +635,7 @@ impl Trainer {
                 let events = &mut report.divergences;
                 let outcome = self.guarded_step(&name, epoch, options, events, |t| {
                     if batch_size == 1 {
-                        t.design_grads(batch[0], &plans[0])
+                        vec![t.design_grads(batch[0], &plans[0])]
                     } else {
                         t.batch_grads(batch, &plans)
                     }
@@ -728,15 +725,6 @@ impl Trainer {
             model,
             optimizer: self.optimizer.export_state(),
         }
-    }
-
-    /// Writes the current state to `path` atomically.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn save_checkpoint(&self, path: &Path, epochs_done: u64) -> Result<(), CheckpointError> {
-        self.checkpoint(epochs_done).write_atomic(path)
     }
 
     /// Restores the trainer from a decoded checkpoint: model weights,
@@ -843,25 +831,6 @@ impl Trainer {
             }
         }
         report
-    }
-
-    /// R² of net-delay prediction at net sinks on one design (the Table-4
-    /// score for the GNN column).
-    pub fn evaluate_net_delay_r2(&mut self, design: &DesignGraph) -> f64 {
-        let pred = self.predict(design);
-        let truth = design.net_delay.data();
-        let p = pred.net_delay.data();
-        let mut t_flat = Vec::new();
-        let mut p_flat = Vec::new();
-        for i in 0..design.num_pins {
-            if design.sink_mask[i] > 0.5 {
-                for k in 0..4 {
-                    t_flat.push(truth[i * 4 + k]);
-                    p_flat.push(p[i * 4 + k]);
-                }
-            }
-        }
-        r2_score(&t_flat, &p_flat)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use tp_graph::{Circuit, GraphError, PinId, PinKind};
 use tp_liberty::{Corner, Library};
-use tp_place::Placement;
+use tp_place::{Die, Placement, Point};
 use tp_sta::flow::FlowResult;
 use tp_sta::StaConfig;
 use tp_tensor::Tensor;
@@ -200,10 +200,7 @@ impl DesignGraph {
             let row = &mut pf[i * PIN_FEATURES..(i + 1) * PIN_FEATURES];
             row[0] = if pd.cell.is_none() { 1.0 } else { 0.0 };
             row[1] = if pd.kind.is_driver() { 1.0 } else { 0.0 };
-            let bd = die.boundary_distances(loc);
-            for k in 0..4 {
-                row[2 + k] = bd[k] * POS_SCALE;
-            }
+            row[2..6].copy_from_slice(&boundary_features(die, loc));
             let caps = pin_caps(circuit, library, pid);
             for k in 0..4 {
                 row[6 + k] = caps[k] * CAP_SCALE;
@@ -225,10 +222,9 @@ impl DesignGraph {
         let en = net_src.len();
         let mut nef = vec![0.0f32; en * NET_EDGE_FEATURES];
         for (k, e) in circuit.net_edges().iter().enumerate() {
-            let a = placement.location(e.driver);
-            let b = placement.location(e.sink);
-            nef[k * 2] = (a.x - b.x).abs() * POS_SCALE;
-            nef[k * 2 + 1] = (a.y - b.y).abs() * POS_SCALE;
+            let (a, b) = (placement.location(e.driver), placement.location(e.sink));
+            nef[k * NET_EDGE_FEATURES..(k + 1) * NET_EDGE_FEATURES]
+                .copy_from_slice(&net_edge_features(a, b));
         }
         let net_edge_features =
             Tensor::from_vec(nef, &[en, NET_EDGE_FEATURES]).expect("row count consistent");
@@ -494,7 +490,7 @@ impl DesignGraph {
 
         // Later moves of the same pin win, matching sequential application.
         for m in moves {
-            placement.set_location_unchecked(PinId::new(m.pin), tp_place::Point::new(m.x, m.y));
+            placement.set_location_unchecked(PinId::new(m.pin), Point::new(m.x, m.y));
         }
 
         let die = *placement.die();
@@ -502,11 +498,8 @@ impl DesignGraph {
             let mut pf = self.pin_features.data_mut();
             for &p in &pins {
                 let loc = placement.location(PinId::new(p));
-                let bd = die.boundary_distances(loc);
                 let row = &mut pf[p * PIN_FEATURES..(p + 1) * PIN_FEATURES];
-                for k in 0..4 {
-                    row[2 + k] = bd[k] * POS_SCALE;
-                }
+                row[2..6].copy_from_slice(&boundary_features(&die, loc));
             }
         }
 
@@ -518,8 +511,8 @@ impl DesignGraph {
                 if moved.contains(&s) || moved.contains(&d) {
                     let a = placement.location(PinId::new(s));
                     let b = placement.location(PinId::new(d));
-                    nef[k * NET_EDGE_FEATURES] = (a.x - b.x).abs() * POS_SCALE;
-                    nef[k * NET_EDGE_FEATURES + 1] = (a.y - b.y).abs() * POS_SCALE;
+                    nef[k * NET_EDGE_FEATURES..(k + 1) * NET_EDGE_FEATURES]
+                        .copy_from_slice(&net_edge_features(a, b));
                     net_edges.push(k);
                 }
             }
@@ -527,6 +520,18 @@ impl DesignGraph {
 
         Ok(EcoDirty { pins, net_edges })
     }
+}
+
+/// The position block of a pin's feature row (Table 2): distances to the
+/// four die boundaries.
+fn boundary_features(die: &Die, loc: Point) -> [f32; 4] {
+    die.boundary_distances(loc).map(|d| d * POS_SCALE)
+}
+
+/// A net edge's feature row (Table 3): `|Δx|` and `|Δy|` between the
+/// driver at `a` and the sink at `b`.
+fn net_edge_features(a: Point, b: Point) -> [f32; NET_EDGE_FEATURES] {
+    [(a.x - b.x).abs() * POS_SCALE, (a.y - b.y).abs() * POS_SCALE]
 }
 
 /// Pin capacitance feature: input caps for cell inputs, port cap estimate

@@ -37,7 +37,6 @@
 
 mod builder;
 mod circuit;
-pub mod cone;
 mod error;
 mod ids;
 pub mod receptive;

@@ -41,5 +41,3 @@ pub use lut::Lut;
 
 /// Number of index points per LUT axis (NLDM template size).
 pub const LUT_AXIS: usize = 7;
-/// Number of LUTs per cell timing arc (4 corners × delay/slew).
-pub const LUTS_PER_ARC: usize = 8;

@@ -1,20 +1,19 @@
 //! Neural-network building blocks on top of [`tp_tensor`].
 //!
 //! Provides exactly what the DAC'22 timing-GNN needs: fully connected
-//! layers, the 3×64 [`Mlp`] used throughout the paper (Sec. 4), activation
-//! functions, L2/MSE losses, and the [`Adam`](optim::Adam) and
-//! [`Sgd`](optim::Sgd) optimizers.
+//! layers, the ReLU [`Mlp`] used throughout the paper (Sec. 4), and the
+//! [`Adam`](optim::Adam) optimizer.
 //!
 //! # Example
 //!
 //! ```
-//! use tp_nn::{Activation, Mlp, Module, optim::Adam};
+//! use tp_nn::{Mlp, Module, optim::Adam};
 //! use tp_tensor::Tensor;
 //!
 //! # fn main() -> Result<(), tp_tensor::TensorError> {
 //! let mut rng = tp_rng::StdRng::seed_from_u64(0);
 //! // Learn y = 2x on a handful of points.
-//! let mlp = Mlp::new(1, &[8], 1, Activation::Relu, &mut rng);
+//! let mlp = Mlp::new(1, &[8], 1, &mut rng);
 //! let mut adam = Adam::new(mlp.parameters(), 1e-2);
 //! let x = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0], &[4, 1])?;
 //! let y = Tensor::from_vec(vec![0.0, 2.0, 4.0, 6.0], &[4, 1])?;
@@ -32,12 +31,10 @@
 mod linear;
 mod mlp;
 mod module;
-mod norm;
 pub mod optim;
 mod serialize;
 
 pub use linear::Linear;
-pub use mlp::{Activation, Mlp};
-pub use norm::{Dropout, LayerNorm};
+pub use mlp::Mlp;
 pub use module::Module;
 pub use serialize::{load_parameters, save_parameters, SerializeError};

@@ -24,8 +24,6 @@ use crate::Module;
 pub struct Linear {
     weight: Tensor,
     bias: Tensor,
-    in_features: usize,
-    out_features: usize,
 }
 
 impl Linear {
@@ -34,8 +32,6 @@ impl Linear {
         Linear {
             weight: xavier_uniform(in_features, out_features, rng).with_grad(),
             bias: Tensor::zeros(&[out_features]).with_grad(),
-            in_features,
-            out_features,
         }
     }
 
@@ -57,26 +53,6 @@ impl Linear {
     pub fn forward_relu(&self, x: &Tensor) -> Tensor {
         x.linear_relu(&self.weight, &self.bias)
     }
-
-    /// Input width.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output width.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// The weight matrix handle.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// The bias vector handle.
-    pub fn bias(&self) -> &Tensor {
-        &self.bias
-    }
 }
 
 impl Module for Linear {
@@ -87,7 +63,8 @@ impl Module for Linear {
 
 impl std::fmt::Debug for Linear {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Linear({} -> {})", self.in_features, self.out_features)
+        let shape = self.weight.shape();
+        write!(f, "Linear({} -> {})", shape[0], shape[1])
     }
 }
 
@@ -111,8 +88,8 @@ mod tests {
         let l = Linear::new(2, 2, &mut rng);
         let x = Tensor::ones(&[3, 2]);
         l.forward(&x).sum().backward();
-        assert!(l.weight().grad().is_some());
-        assert_eq!(l.bias().grad().unwrap(), vec![3.0, 3.0]);
+        assert!(l.weight.grad().is_some());
+        assert_eq!(l.bias.grad().unwrap(), vec![3.0, 3.0]);
     }
 
     #[test]

@@ -22,9 +22,3 @@ pub trait Module {
         }
     }
 }
-
-impl<M: Module> Module for Vec<M> {
-    fn parameters(&self) -> Vec<Tensor> {
-        self.iter().flat_map(Module::parameters).collect()
-    }
-}

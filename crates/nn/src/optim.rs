@@ -1,4 +1,5 @@
-//! Gradient-descent optimizers operating on parameter handles.
+//! The Adam optimizer and gradient clipping, operating on parameter
+//! handles.
 
 use std::fmt;
 
@@ -63,7 +64,6 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
     t: u32,
@@ -80,17 +80,10 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             m,
             v,
             t: 0,
         }
-    }
-
-    /// Sets decoupled weight decay (AdamW style) and returns `self`.
-    pub fn with_weight_decay(mut self, wd: f32) -> Adam {
-        self.weight_decay = wd;
-        self
     }
 
     /// Current learning rate.
@@ -157,8 +150,7 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (i, p) in self.params.iter().enumerate() {
-            let (b1, b2, eps, lr, wd) =
-                (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);
+            let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
             let m = &mut self.m[i];
             let v = &mut self.v[i];
             p.apply_grad_update(|data, grad| {
@@ -168,55 +160,7 @@ impl Adam {
                     v[j] = b2 * v[j] + (1.0 - b2) * g * g;
                     let mh = m[j] / bc1;
                     let vh = v[j] / bc2;
-                    data[j] -= lr * (mh / (vh.sqrt() + eps) + wd * data[j]);
-                }
-            });
-        }
-    }
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates a momentum-free SGD optimizer.
-    pub fn new(params: Vec<Tensor>, lr: f32) -> Sgd {
-        let velocity = params.iter().map(|p| vec![0.0; p.numel()]).collect();
-        Sgd {
-            params,
-            lr,
-            momentum: 0.0,
-            velocity,
-        }
-    }
-
-    /// Enables classical momentum and returns `self`.
-    pub fn with_momentum(mut self, momentum: f32) -> Sgd {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Clears gradients on all managed parameters.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    /// Applies one descent step.
-    pub fn step(&mut self) {
-        for (i, p) in self.params.iter().enumerate() {
-            let (lr, mu) = (self.lr, self.momentum);
-            let vel = &mut self.velocity[i];
-            p.apply_grad_update(|data, grad| {
-                for j in 0..data.len() {
-                    vel[j] = mu * vel[j] + grad[j];
-                    data[j] -= lr * vel[j];
+                    data[j] -= lr * (mh / (vh.sqrt() + eps));
                 }
             });
         }
@@ -248,35 +192,6 @@ pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
 mod tests {
     use super::*;
     use tp_tensor::Tensor;
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let w = Tensor::from_slice(&[4.0]).with_grad();
-        let mut opt = Sgd::new(vec![w.clone()], 0.1);
-        for _ in 0..100 {
-            let loss = w.square().sum();
-            opt.zero_grad();
-            loss.backward();
-            opt.step();
-        }
-        assert!(w.to_vec()[0].abs() < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |mu: f32| {
-            let w = Tensor::from_slice(&[4.0]).with_grad();
-            let mut opt = Sgd::new(vec![w.clone()], 0.01).with_momentum(mu);
-            for _ in 0..50 {
-                let loss = w.square().sum();
-                opt.zero_grad();
-                loss.backward();
-                opt.step();
-            }
-            w.to_vec()[0].abs()
-        };
-        assert!(run(0.9) < run(0.0));
-    }
 
     #[test]
     fn adam_handles_sparse_grads() {
@@ -326,18 +241,6 @@ mod tests {
         let before = opt.export_state();
         assert!(opt.import_state(donor.export_state()).is_err());
         assert_eq!(opt.export_state(), before, "failed import must not commit");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_parameters() {
-        let w = Tensor::from_slice(&[1.0]).with_grad();
-        let mut opt = Adam::new(vec![w.clone()], 0.01).with_weight_decay(0.5);
-        // Loss gradient is zero; only decay acts.
-        let loss = w.mul_scalar(0.0).sum();
-        opt.zero_grad();
-        loss.backward();
-        opt.step();
-        assert!(w.to_vec()[0] < 1.0);
     }
 
     #[test]

@@ -160,8 +160,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_weights() {
         let mut rng = tp_rng::StdRng::seed_from_u64(9);
-        let a = Mlp::small(4, 2, &mut rng);
-        let b = Mlp::small(4, 2, &mut rng);
+        let a = Mlp::new(4, &[32, 32], 2, &mut rng);
+        let b = Mlp::new(4, &[32, 32], 2, &mut rng);
         let mut buf = Vec::new();
         save_parameters(&a.parameters(), &mut buf).unwrap();
         load_parameters(&b.parameters(), buf.as_slice()).unwrap();
@@ -179,8 +179,8 @@ mod tests {
     #[test]
     fn failed_load_leaves_parameters_untouched() {
         let mut rng = tp_rng::StdRng::seed_from_u64(9);
-        let a = Mlp::small(4, 2, &mut rng);
-        let b = Mlp::small(4, 2, &mut rng);
+        let a = Mlp::new(4, &[32, 32], 2, &mut rng);
+        let b = Mlp::new(4, &[32, 32], 2, &mut rng);
         let before: Vec<Vec<f32>> = b.parameters().iter().map(|p| p.to_vec()).collect();
         let mut buf = Vec::new();
         save_parameters(&a.parameters(), &mut buf).unwrap();
@@ -197,8 +197,8 @@ mod tests {
     #[test]
     fn mismatched_architecture_rejected() {
         let mut rng = tp_rng::StdRng::seed_from_u64(9);
-        let a = Mlp::small(4, 2, &mut rng);
-        let b = Mlp::small(5, 2, &mut rng);
+        let a = Mlp::new(4, &[32, 32], 2, &mut rng);
+        let b = Mlp::new(5, &[32, 32], 2, &mut rng);
         let mut buf = Vec::new();
         save_parameters(&a.parameters(), &mut buf).unwrap();
         let err = load_parameters(&b.parameters(), buf.as_slice()).unwrap_err();

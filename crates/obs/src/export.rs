@@ -2,7 +2,7 @@
 //! `BENCH_*.json` schema shared with `tp_bench::micro`.
 
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::{escape, fmt_f64};
 use crate::metrics::MetricSnapshot;
@@ -218,23 +218,6 @@ pub fn write_chrome_trace(path: &Path, events: &[TraceEvent]) -> std::io::Result
 /// Propagates any I/O error from creating or writing the file.
 pub fn write_jsonl(path: &Path, events: &[TraceEvent]) -> std::io::Result<()> {
     write_file(path, &jsonl(events))
-}
-
-/// Writes `BENCH_<suite>.json` into `dir` and returns the path.
-///
-/// # Errors
-///
-/// Propagates any I/O error from creating or writing the file.
-pub fn write_bench_json(
-    dir: &Path,
-    suite: &str,
-    threads: usize,
-    config: &[(String, String)],
-    entries: &[BenchEntry],
-) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("BENCH_{suite}.json"));
-    write_file(&path, &bench_json(suite, threads, config, entries))?;
-    Ok(path)
 }
 
 #[cfg(test)]

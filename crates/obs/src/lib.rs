@@ -64,7 +64,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static QUIET: AtomicBool = AtomicBool::new(false);
 static EVENTS: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
@@ -90,20 +89,13 @@ pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Suppresses the human-readable stderr sink ([`stderr_line`]).
-pub fn set_quiet(quiet: bool) {
-    QUIET.store(quiet, Ordering::Release);
-}
-
-/// The default human-readable sink: one line to stderr, unless quieted.
+/// The default human-readable sink: one line to stderr.
 ///
 /// Instrumented code emits structured events *and* routes its progress
 /// lines here, so CLI output is unchanged while machine-readable data
 /// flows to the collector.
 pub fn stderr_line(line: &str) {
-    if !QUIET.load(Ordering::Relaxed) {
-        eprintln!("{line}");
-    }
+    eprintln!("{line}");
 }
 
 pub(crate) fn record(event: TraceEvent) {

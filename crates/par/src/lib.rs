@@ -10,12 +10,12 @@
 //! Three rules make that possible:
 //!
 //! 1. **Static chunking.** Chunk boundaries are a pure function of the
-//!    input length and the configured thread count ([`chunk_ranges`]) —
-//!    never of scheduling. Workers *claim* chunks dynamically (an atomic
+//!    input length and the configured thread count — never of
+//!    scheduling. Workers *claim* chunks dynamically (an atomic
 //!    counter), but which items form a chunk is fixed up front.
-//! 2. **Ordered merge.** [`map_items`]/[`map_chunks`] write each result
-//!    into its own pre-allocated slot and hand the vector back in index
-//!    order, so no output ever depends on which worker finished first.
+//! 2. **Ordered merge.** [`map_items`] writes each result into its own
+//!    pre-allocated slot and hands the vector back in index order, so no
+//!    output ever depends on which worker finished first.
 //! 3. **Ordered reduction.** Parallel regions do independent per-item work;
 //!    any floating-point fold either stays serial in index order or uses
 //!    [`reduce_blocks`], whose block size is a caller-fixed constant
@@ -80,7 +80,7 @@ impl std::fmt::Display for CapturedPanic {
 
 /// The message carried by a panic payload: `&str` and `String` payloads
 /// verbatim, `"non-string panic payload"` otherwise.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -171,7 +171,7 @@ pub fn hardware_threads() -> usize {
 /// differ by at most one (the first `len % parts` ranges get the extra
 /// item). A pure function of its arguments — the determinism contract's
 /// "static chunking" rule.
-pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     if len == 0 || parts == 0 {
         return Vec::new();
     }
@@ -188,7 +188,7 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// [`split_ranges`] at the current [`threads`] count.
-pub fn chunk_ranges(len: usize) -> Vec<Range<usize>> {
+fn chunk_ranges(len: usize) -> Vec<Range<usize>> {
     split_ranges(len, threads())
 }
 
@@ -197,27 +197,18 @@ pub fn chunk_ranges(len: usize) -> Vec<Range<usize>> {
 // ---------------------------------------------------------------------------
 
 /// Minimum predicted work, in nanoseconds, each *forked chunk* must carry
-/// before a region is worth handing to the pool (`TP_GRAIN_NS`, default
-/// 100 µs). Below one grain the fork-join handoff dominates; the grain is
-/// also the target chunk size, so chunk counts shrink with the region
-/// instead of always fanning to every worker.
-pub fn grain_ns() -> f64 {
-    static GRAIN: OnceLock<f64> = OnceLock::new();
-    *GRAIN.get_or_init(|| {
-        std::env::var("TP_GRAIN_NS")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|v| *v >= 1.0)
-            .unwrap_or(100_000.0)
-    })
-}
+/// before a region is worth handing to the pool (100 µs). Below one grain
+/// the fork-join handoff dominates; the grain is also the target chunk
+/// size, so chunk counts shrink with the region instead of always fanning
+/// to every worker.
+const GRAIN_NS: f64 = 100_000.0;
 
 /// Dispatch decision for one region: run it on the calling thread or fork
 /// `chunks` pieces to the pool. The decision only moves work between
 /// threads — per-item arithmetic and merge order are fixed — so it can
 /// never change a result (the determinism contract's third rule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Plan {
+enum Plan {
     /// Run serially on the submitting thread.
     Inline,
     /// Fork into this many chunks (≥ 2, ≤ [`threads`], ≤ items).
@@ -231,9 +222,9 @@ pub enum Plan {
 ///
 /// Each parallel call site owns one `static CostModel` seeded with a rough
 /// ns-per-unit estimate; after every region the model folds the *measured*
-/// per-unit cost into an exponential moving average. [`CostModel::plan`]
-/// then sizes regions in wall-clock terms: fork only when the predicted
-/// region cost covers at least two [`grain_ns`] chunks, and cut only as
+/// per-unit cost into an exponential moving average. The model then
+/// sizes regions in wall-clock terms: fork only when the predicted
+/// region cost covers at least two 100 µs grains, and cut only as
 /// many chunks as the work can fill — small regions run inline instead of
 /// paying the fork-join handoff, which is exactly what made `TP_THREADS=4`
 /// lose to `=1` on small-scale suites under fixed item-count thresholds.
@@ -262,13 +253,8 @@ impl CostModel {
         }
     }
 
-    /// The site name (also reported as [`RegionStats::site`]).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Current ns-per-unit estimate (the seed until a region has run).
-    pub fn ns_per_unit(&self) -> f64 {
+    fn ns_per_unit(&self) -> f64 {
         match self.ewma_bits.load(Ordering::Relaxed) {
             0 => self.initial_ns_per_unit,
             bits => f64::from_bits(bits),
@@ -299,7 +285,7 @@ impl CostModel {
     /// Sizes a region of `items` splittable pieces predicted to cost
     /// `units · ns_per_unit`: inline below two grains, otherwise fork one
     /// chunk per grain, capped by [`threads`] and `items`.
-    pub fn plan(&self, items: usize, units: u64) -> Plan {
+    fn plan(&self, items: usize, units: u64) -> Plan {
         plan_for(threads(), items, self.predicted_ns(units))
     }
 
@@ -322,7 +308,7 @@ fn plan_for(workers: usize, items: usize, predicted_ns: f64) -> Plan {
     if workers <= 1 || items < 2 {
         return Plan::Inline;
     }
-    let by_cost = (predicted_ns / grain_ns()) as usize;
+    let by_cost = (predicted_ns / GRAIN_NS) as usize;
     let chunks = by_cost.min(workers).min(items);
     if chunks < 2 {
         Plan::Inline
@@ -363,10 +349,6 @@ static OBSERVER: OnceLock<fn(&RegionStats)> = OnceLock::new();
 /// registers itself here.
 pub fn set_observer(hook: fn(&RegionStats)) -> bool {
     OBSERVER.set(hook).is_ok()
-}
-
-fn observe(items: usize, ranges: &[Range<usize>]) {
-    observe_site(items, ranges, false, "");
 }
 
 fn observe_site(items: usize, ranges: &[Range<usize>], inlined: bool, site: &'static str) {
@@ -568,25 +550,6 @@ fn execute(chunks: usize, f: &(dyn Fn(usize) + Sync)) {
 // High-level API
 // ---------------------------------------------------------------------------
 
-/// Runs `f(chunk_index, item_range)` over the deterministic chunking of
-/// `0..len`. Chunks run concurrently; the call returns when all finish.
-///
-/// # Panics
-///
-/// Re-raises the first panic any chunk raised.
-pub fn for_each_chunk<F>(len: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let ranges = chunk_ranges(len);
-    if ranges.is_empty() {
-        return;
-    }
-    observe(len, &ranges);
-    let ranges = &ranges;
-    execute(ranges.len(), &|c| f(c, ranges[c].clone()));
-}
-
 /// Slot vector the chunks write into; disjoint indices, merged in order.
 struct Slots<'a, R>(&'a [UnsafeCell<Option<R>>]);
 
@@ -626,7 +589,7 @@ where
     if ranges.is_empty() {
         return Vec::new();
     }
-    observe(len, &ranges);
+    observe_site(len, &ranges, false, "");
     map_items_over(len, &ranges, f)
 }
 
@@ -696,34 +659,6 @@ where
     out
 }
 
-/// Parallel ordered map over chunks: returns one `f(chunk_index, range)`
-/// result per chunk, in chunk-index order.
-///
-/// # Panics
-///
-/// Re-raises the first panic any chunk raised.
-pub fn map_chunks<R, F>(len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    let n_chunks = chunk_ranges(len).len();
-    let slots: Vec<UnsafeCell<Option<R>>> = std::iter::repeat_with(|| UnsafeCell::new(None))
-        .take(n_chunks)
-        .collect();
-    {
-        let shared = Slots(&slots);
-        for_each_chunk(len, |c, range| {
-            // SAFETY: one writer per chunk slot.
-            unsafe { shared.set(c, f(c, range)) };
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every chunk fills its slot"))
-        .collect()
-}
-
 /// Deterministic parallel reduction: maps fixed-size blocks of `block_len`
 /// items in parallel, then folds the block results serially in block-index
 /// order. Returns `None` when `len == 0`.
@@ -768,28 +703,7 @@ impl<T> RawRows<T> {
 /// `f(chunk_index, row_range, rows_slice)` per chunk, where `rows_slice`
 /// is the mutable sub-slice holding exactly those rows. The disjoint-rows
 /// split is what lets dense kernels (matmul) fill one output concurrently.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `data.len()` is not a multiple of `width`;
-/// re-raises the first panic any chunk raised.
-pub fn for_each_rows_mut<T, F>(data: &mut [T], width: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    assert!(width > 0, "row width must be positive");
-    assert_eq!(data.len() % width, 0, "data must be whole rows");
-    let rows = data.len() / width;
-    let ranges = chunk_ranges(rows);
-    if ranges.is_empty() {
-        return;
-    }
-    observe(rows, &ranges);
-    rows_mut_over(data, width, &ranges, f);
-}
-
-/// [`for_each_rows_mut`] dispatched through a [`CostModel`] (see
+/// The region is dispatched through a [`CostModel`] (see
 /// [`map_items_costed`] for the inline/fork semantics). `units` is the
 /// site's cost proxy — for a dense kernel typically the flop count, which
 /// unlike the row count captures how expensive each row is.
@@ -823,34 +737,19 @@ pub fn for_each_rows_mut_costed<T, F>(
         Plan::Fork { chunks } => {
             let ranges = split_ranges(rows, chunks);
             observe_site(rows, &ranges, false, model.name);
-            rows_mut_over(data, width, &ranges, f);
+            let base = RawRows(data.as_mut_ptr());
+            execute(ranges.len(), &|c| {
+                let r = ranges[c].clone();
+                // SAFETY: row ranges are disjoint and in-bounds, so each
+                // chunk gets an exclusive sub-slice of `data`.
+                let rows_slice = unsafe {
+                    std::slice::from_raw_parts_mut(base.ptr().add(r.start * width), r.len() * width)
+                };
+                f(c, r, rows_slice);
+            });
         }
     }
     model.record(units, t0.elapsed().as_nanos() as u64);
-}
-
-/// Row-disjoint dispatch over an explicit chunking (shared by the plain
-/// and costed rows-mut entry points).
-fn rows_mut_over<T, F>(data: &mut [T], width: usize, ranges: &[Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    let rows = data.len() / width;
-    if ranges.len() == 1 {
-        f(0, 0..rows, data);
-        return;
-    }
-    let base = RawRows(data.as_mut_ptr());
-    execute(ranges.len(), &|c| {
-        let r = ranges[c].clone();
-        // SAFETY: row ranges are disjoint and in-bounds, so each chunk
-        // gets an exclusive sub-slice of `data`.
-        let rows_slice = unsafe {
-            std::slice::from_raw_parts_mut(base.ptr().add(r.start * width), r.len() * width)
-        };
-        f(c, r, rows_slice);
-    });
 }
 
 #[cfg(test)]
@@ -942,24 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_mut_fills_every_row_exactly_once() {
-        let _guard = override_lock();
-        set_threads(4);
-        let mut data = vec![0u64; 97 * 5];
-        for_each_rows_mut(&mut data, 5, |_, rows, slice| {
-            for (local, row) in rows.clone().enumerate() {
-                for k in 0..5 {
-                    slice[local * 5 + k] += (row * 5 + k) as u64 + 1;
-                }
-            }
-        });
-        set_threads(0);
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1, "row-major cell {i}");
-        }
-    }
-
-    #[test]
     fn panics_propagate_and_pool_survives() {
         let _guard = override_lock();
         set_threads(4);
@@ -998,21 +879,6 @@ mod tests {
         assert_eq!(chunk_ranges(9).len(), 3);
         set_threads(0);
         assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn map_chunks_is_ordered_by_chunk() {
-        let _guard = override_lock();
-        set_threads(4);
-        let sums = map_chunks(100, |_, r| r.clone().sum::<usize>());
-        set_threads(0);
-        assert_eq!(sums.len(), 4);
-        assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
-        // chunk order, not completion order: starts are ascending
-        let ranges = split_ranges(100, 4);
-        for (s, r) in sums.iter().zip(&ranges) {
-            assert_eq!(*s, r.clone().sum::<usize>());
-        }
     }
 
     #[test]
@@ -1077,9 +943,7 @@ mod tests {
     fn zero_len_regions_are_no_ops() {
         assert!(map_items(0, |i| i).is_empty());
         assert!(chunk_ranges(0).is_empty());
-        for_each_chunk(0, |_, _| panic!("must not run"));
         let mut empty: Vec<f32> = Vec::new();
-        for_each_rows_mut(&mut empty, 4, |_, _, _| panic!("must not run"));
         assert_eq!(reduce_blocks(0, 8, |_| 1u32, |a, b| a + b), None);
         let m = CostModel::new("zero", 1.0);
         assert!(map_items_costed(&m, 0, 0, |i| i).is_empty());
@@ -1089,7 +953,7 @@ mod tests {
     /// Units that predict `grains` grains of work on a model with
     /// 1 ns/unit seed.
     fn units_for_grains(grains: f64) -> u64 {
-        (grains * grain_ns()) as u64
+        (grains * GRAIN_NS) as u64
     }
 
     #[test]

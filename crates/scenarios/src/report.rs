@@ -106,18 +106,6 @@ pub fn render_report(grid: &SweepGrid, config: &SweepConfig, records: &[CellReco
     out
 }
 
-/// A compact summary object for embedding in a
-/// [`tp_obs::manifest::RunReport`] section.
-pub fn summary_json(records: &[CellRecord]) -> String {
-    let completed = records.iter().filter(|r| r.status == CellStatus::Completed).count();
-    let quarantined = records.iter().filter(|r| r.status == CellStatus::Quarantined).count();
-    let skipped = records.iter().filter(|r| r.status == CellStatus::Skipped).count();
-    format!(
-        "{{ \"journaled\": {}, \"completed\": {completed}, \"quarantined\": {quarantined}, \"skipped\": {skipped} }}",
-        records.len()
-    )
-}
-
 /// Writes the report atomically (tmp sibling + rename, the `.tpck`
 /// pattern) so a kill mid-write never leaves a torn report next to a
 /// valid journal.

@@ -4,8 +4,9 @@
 //! production timer re-times only the affected cone instead of the whole
 //! design. [`IncrementalSta`] keeps the propagated state alive, re-routes
 //! only the nets touched by a move, and re-propagates arrival/slew along a
-//! level-ordered worklist that stops as soon as values converge. Required
-//! times are refreshed with one backward sweep on demand.
+//! level-ordered worklist that stops where a pin's values come out
+//! bit-identical to before, so the result equals a full re-analysis bit
+//! for bit. Required times are refreshed with one backward sweep on demand.
 
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -15,9 +16,6 @@ use tp_place::Placement;
 use tp_route::{route_circuit, route_net, Routing};
 
 use crate::{StaConfig, StaEngine, TimingReport};
-
-/// Convergence tolerance for arrival/slew updates, ns.
-const EPS: f32 = 1e-7;
 
 /// A persistent, incrementally updatable timing view of one circuit.
 pub struct IncrementalSta<'a> {
@@ -169,7 +167,7 @@ impl<'a> IncrementalSta<'a> {
             push(&mut heap, &mut queued, &self.topology, data.driver);
         }
 
-        // 3. level-ordered re-propagation with convergence cut-off
+        // 3. level-ordered re-propagation, cut off where nothing changed
         let mut recomputed = 0usize;
         while let Some(Entry { pin, .. }) = heap.pop() {
             queued.remove(&pin);
@@ -186,8 +184,8 @@ impl<'a> IncrementalSta<'a> {
             );
             recomputed += 1;
             let changed = (0..4).any(|k| {
-                (self.at[pin.index()][k] - old_at[k]).abs() > EPS
-                    || (self.slew[pin.index()][k] - old_slew[k]).abs() > EPS
+                self.at[pin.index()][k].to_bits() != old_at[k].to_bits()
+                    || self.slew[pin.index()][k].to_bits() != old_slew[k].to_bits()
             });
             if changed {
                 for &er in self.topology.fanout(pin) {
@@ -254,6 +252,17 @@ mod tests {
         (Placement::new(*placement.die(), locs), moved)
     }
 
+    /// Asserts arrival, slew and required time agree bit for bit at every
+    /// pin and corner.
+    fn assert_bit_equal(circuit: &Circuit, inc: &TimingReport, full: &TimingReport) {
+        let bits = |v: [f32; 4]| v.map(f32::to_bits);
+        for p in circuit.pin_ids() {
+            assert_eq!(bits(inc.arrival(p)), bits(full.arrival(p)), "arrival at pin {p}");
+            assert_eq!(bits(inc.slew(p)), bits(full.slew(p)), "slew at pin {p}");
+            assert_eq!(bits(inc.required(p)), bits(full.required(p)), "required at pin {p}");
+        }
+    }
+
     #[test]
     fn incremental_matches_full_rerun() {
         let (library, circuit, placement) = fixture();
@@ -267,19 +276,7 @@ mod tests {
         let inc_report = inc.report(&circuit);
 
         let full = StaEngine::new(&library, config).run(&circuit, &new_placement);
-        for p in circuit.pin_ids() {
-            let a = inc_report.arrival(p);
-            let b = full.arrival(p);
-            for k in 0..4 {
-                assert!(
-                    (a[k] - b[k]).abs() < 1e-4,
-                    "pin {p} corner {k}: incremental {} vs full {}",
-                    a[k],
-                    b[k]
-                );
-            }
-        }
-        assert!((inc_report.wns_setup() - full.wns_setup()).abs() < 1e-4);
+        assert_bit_equal(&circuit, &inc_report, &full);
     }
 
     #[test]
@@ -334,8 +331,6 @@ mod tests {
             current = next;
         }
         let full = StaEngine::new(&library, config).run(&circuit, &current);
-        let inc_report = inc.report(&circuit);
-        assert!((inc_report.wns_setup() - full.wns_setup()).abs() < 1e-4);
-        assert!((inc_report.critical_path_delay() - full.critical_path_delay()).abs() < 1e-4);
+        assert_bit_equal(&circuit, &inc.report(&circuit), &full);
     }
 }

@@ -67,12 +67,6 @@ impl TimingReport {
         s[Corner::LateRise.index()].min(s[Corner::LateFall.index()])
     }
 
-    /// Worst hold slack per endpoint (min over early corners).
-    pub fn hold_slack(&self, endpoint: PinId) -> f32 {
-        let s = self.slack(endpoint);
-        s[Corner::EarlyRise.index()].min(s[Corner::EarlyFall.index()])
-    }
-
     /// Worst negative setup slack over all endpoints (WNS; positive when
     /// all constraints are met).
     pub fn wns_setup(&self) -> f32 {

@@ -94,7 +94,8 @@ fn wns_and_clock_monotonicity() {
     });
 }
 
-/// Incremental update after a random cell move matches a full re-run.
+/// Incremental update after a random cell move matches a full re-run bit
+/// for bit.
 #[test]
 fn incremental_equals_full() {
     prop::check("incremental_equals_full", CASES, |rng| {
@@ -120,18 +121,12 @@ fn incremental_equals_full() {
         let inc_report = inc.report(&circuit);
         let full = StaEngine::new(&library, config).run(&circuit, &new_placement);
 
+        let bits = |v: [f32; 4]| v.map(f32::to_bits);
         for p in circuit.pin_ids() {
-            let a = inc_report.arrival(p);
-            let b = full.arrival(p);
-            for k in 0..4 {
-                assert!(
-                    (a[k] - b[k]).abs() < 1e-4,
-                    "pin {} corner {k}: {} vs {}",
-                    p,
-                    a[k],
-                    b[k]
-                );
-            }
+            let (i, f) = (&inc_report, &full);
+            assert_eq!(bits(i.arrival(p)), bits(f.arrival(p)), "arrival at pin {p}");
+            assert_eq!(bits(i.slew(p)), bits(f.slew(p)), "slew at pin {p}");
+            assert_eq!(bits(i.required(p)), bits(f.required(p)), "required at pin {p}");
         }
     });
 }

@@ -19,13 +19,6 @@ pub fn xavier_uniform<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Ten
     Tensor::rand_uniform(&[fan_in, fan_out], -a, a, rng)
 }
 
-/// Kaiming/He uniform initialization (ReLU gain) for a `[fan_in, fan_out]`
-/// weight matrix: `U(-a, a)` with `a = sqrt(6 / fan_in)`.
-pub fn kaiming_uniform<R: Rng>(fan_in: usize, fan_out: usize, rng: &mut R) -> Tensor {
-    let a = (6.0 / fan_in as f32).sqrt();
-    Tensor::rand_uniform(&[fan_in, fan_out], -a, a, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -35,14 +28,6 @@ mod tests {
         let mut rng = tp_rng::StdRng::seed_from_u64(1);
         let w = xavier_uniform(10, 10, &mut rng);
         let a = (6.0 / 20.0_f32).sqrt();
-        assert!(w.to_vec().iter().all(|&x| x.abs() <= a));
-    }
-
-    #[test]
-    fn kaiming_respects_bound() {
-        let mut rng = tp_rng::StdRng::seed_from_u64(2);
-        let w = kaiming_uniform(24, 8, &mut rng);
-        let a = (6.0 / 24.0_f32).sqrt();
         assert!(w.to_vec().iter().all(|&x| x.abs() <= a));
     }
 

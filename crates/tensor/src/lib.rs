@@ -56,6 +56,6 @@ pub mod pool;
 
 pub use autograd::{collect_grads, grad_enabled, no_grad};
 pub use error::TensorError;
-pub use init::{kaiming_uniform, xavier_uniform};
+pub use init::xavier_uniform;
 pub use shape::Shape;
 pub use tensor::Tensor;

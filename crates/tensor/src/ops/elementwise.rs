@@ -121,7 +121,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the shapes are incompatible.
-    pub fn sub(&self, rhs: &Tensor) -> Tensor {
+    pub(crate) fn sub(&self, rhs: &Tensor) -> Tensor {
         self.binary_op(rhs, |a, b| a - b, |mode, cols, lhs, rhs| {
             Box::new(move |g: &[f32]| {
                 if lhs.requires_grad() {
@@ -166,62 +166,6 @@ impl Tensor {
         })
     }
 
-    /// Elementwise division (same broadcasting rules as [`Tensor::add`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    pub fn div(&self, rhs: &Tensor) -> Tensor {
-        self.binary_op(rhs, |a, b| a / b, |mode, cols, lhs, rhs| {
-            Box::new(move |g: &[f32]| {
-                let rd_snapshot = rhs.to_vec();
-                if lhs.requires_grad() {
-                    let gl: Vec<f32> = match mode {
-                        Broadcast::Same => g
-                            .iter()
-                            .zip(rd_snapshot.iter())
-                            .map(|(&g, &b)| g / b)
-                            .collect(),
-                        Broadcast::Scalar => g.iter().map(|&g| g / rd_snapshot[0]).collect(),
-                        Broadcast::RowVector => rows(g, rd_snapshot.len())
-                            .flat_map(|row| row.iter().zip(&rd_snapshot).map(|(&g, &b)| g / b))
-                            .collect(),
-                    };
-                    lhs.accumulate_grad(&gl);
-                }
-                if rhs.requires_grad() {
-                    let ld = lhs.data();
-                    let gr: Vec<f32> = match mode {
-                        Broadcast::Same => g
-                            .iter()
-                            .zip(ld.iter())
-                            .zip(rd_snapshot.iter())
-                            .map(|((&g, &a), &b)| -g * a / (b * b))
-                            .collect(),
-                        Broadcast::Scalar => {
-                            let b = rd_snapshot[0];
-                            g.iter()
-                                .zip(ld.iter())
-                                .map(|(&g, &a)| -g * a / (b * b))
-                                .collect()
-                        }
-                        Broadcast::RowVector => rows(g, rd_snapshot.len())
-                            .zip(rows(&ld, rd_snapshot.len()))
-                            .flat_map(|(grow, lrow)| {
-                                grow.iter()
-                                    .zip(lrow)
-                                    .zip(&rd_snapshot)
-                                    .map(|((&g, &a), &b)| -g * a / (b * b))
-                            })
-                            .collect(),
-                    };
-                    drop(ld);
-                    rhs.accumulate_grad(&reduce_to(mode, &gr, cols));
-                }
-            })
-        })
-    }
-
     fn unary_op(
         &self,
         fwd: impl Fn(f32) -> f32,
@@ -254,47 +198,9 @@ impl Tensor {
         self.unary_op(move |x| x * s, move |_, _| s)
     }
 
-    /// Elementwise negation.
-    pub fn neg(&self) -> Tensor {
-        self.mul_scalar(-1.0)
-    }
-
     /// Rectified linear unit, `max(x, 0)`.
     pub fn relu(&self) -> Tensor {
         self.unary_op(|x| x.max(0.0), |x, _| if x > 0.0 { 1.0 } else { 0.0 })
-    }
-
-    /// Leaky ReLU with negative slope `alpha`.
-    pub fn leaky_relu(&self, alpha: f32) -> Tensor {
-        self.unary_op(
-            move |x| if x > 0.0 { x } else { alpha * x },
-            move |x, _| if x > 0.0 { 1.0 } else { alpha },
-        )
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        self.unary_op(|x| x.tanh(), |_, y| 1.0 - y * y)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        self.unary_op(|x| 1.0 / (1.0 + (-x).exp()), |_, y| y * (1.0 - y))
-    }
-
-    /// Softplus, `ln(1 + e^x)`, a smooth non-negative activation used for
-    /// delay outputs (delays are physically non-negative).
-    pub fn softplus(&self) -> Tensor {
-        self.unary_op(
-            |x| {
-                if x > 20.0 {
-                    x
-                } else {
-                    (1.0 + x.exp()).ln()
-                }
-            },
-            |x, _| 1.0 / (1.0 + (-x).exp()),
-        )
     }
 
     /// Elementwise exponential.
@@ -310,32 +216,6 @@ impl Tensor {
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
         self.unary_op(|x| x * x, |x, _| 2.0 * x)
-    }
-
-    /// Elementwise square root.
-    pub fn sqrt(&self) -> Tensor {
-        self.unary_op(|x| x.sqrt(), |_, y| 0.5 / y.max(1e-12))
-    }
-
-    /// Elementwise absolute value (subgradient 0 at the kink).
-    pub fn abs(&self) -> Tensor {
-        self.unary_op(|x| x.abs(), |x, _| {
-            if x > 0.0 {
-                1.0
-            } else if x < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        })
-    }
-
-    /// Clamps every element into `[lo, hi]` (gradient is zero outside).
-    pub fn clamp(&self, lo: f32, hi: f32) -> Tensor {
-        self.unary_op(
-            move |x| x.clamp(lo, hi),
-            move |x, _| if x >= lo && x <= hi { 1.0 } else { 0.0 },
-        )
     }
 }
 
@@ -386,7 +266,7 @@ mod tests {
     #[test]
     fn scalar_broadcast() {
         let a = t(&[1.0, 2.0], &[2]).with_grad();
-        let s = Tensor::scalar(3.0).with_grad();
+        let s = Tensor::from_slice(&[3.0]).with_grad();
         let y = a.mul(&s);
         assert_eq!(y.to_vec(), vec![3.0, 6.0]);
         y.sum().backward();
@@ -395,18 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn div_gradients() {
-        let a = t(&[6.0], &[1]).with_grad();
-        let b = t(&[3.0], &[1]).with_grad();
-        let y = a.div(&b);
-        y.backward();
-        assert!((a.grad().unwrap()[0] - 1.0 / 3.0).abs() < 1e-6);
-        assert!((b.grad().unwrap()[0] + 6.0 / 9.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn mul_and_div_row_vector_gradients() {
-        // y = a ∘ b and y = a / b with b: [3] broadcast over a: [2, 3];
+    fn mul_row_vector_gradients() {
+        // y = a ∘ b with b: [3] broadcast over a: [2, 3];
         // per-element upstream weights make every gradient entry distinct.
         let w = t(&[1.0, -2.0, 0.5, 3.0, 0.25, -1.0], &[2, 3]);
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).with_grad();
@@ -417,15 +287,6 @@ mod tests {
         assert_eq!(a.grad().unwrap(), vec![2.0, 8.0, 0.25, 6.0, -1.0, -0.5]);
         // db[j] = Σ_i w[i,j]·a[i,j]
         assert_eq!(b.grad().unwrap(), vec![13.0, -2.75, -4.5]);
-
-        a.zero_grad();
-        b.zero_grad();
-        let y = a.div(&b);
-        assert_eq!(y.to_vec(), vec![0.5, -0.5, 6.0, 2.0, -1.25, 12.0]);
-        y.mul(&w).sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![0.5, 0.5, 1.0, 1.5, -0.0625, -2.0]);
-        // db[j] = Σ_i -w[i,j]·a[i,j] / b[j]²
-        assert_eq!(b.grad().unwrap(), vec![-3.25, 0.171875, 18.0]);
     }
 
     #[test]
@@ -434,25 +295,6 @@ mod tests {
         let y = a.relu().sum();
         y.backward();
         assert_eq!(a.grad().unwrap(), vec![0.0, 1.0]);
-    }
-
-    #[test]
-    fn tanh_matches_reference() {
-        let a = t(&[0.5], &[1]).with_grad();
-        let y = a.tanh();
-        assert!((y.item() - 0.5_f32.tanh()).abs() < 1e-6);
-        y.backward();
-        let expect = 1.0 - 0.5_f32.tanh().powi(2);
-        assert!((a.grad().unwrap()[0] - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn softplus_is_smooth_and_stable() {
-        let a = t(&[-30.0, 0.0, 30.0], &[3]);
-        let y = a.softplus().to_vec();
-        assert!(y[0] >= 0.0 && y[0] < 1e-6);
-        assert!((y[1] - (2.0_f32).ln()).abs() < 1e-6);
-        assert!((y[2] - 30.0).abs() < 1e-4);
     }
 
     #[test]

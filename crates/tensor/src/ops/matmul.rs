@@ -1,4 +1,4 @@
-//! Dense matrix multiplication, the fused dense layer, and 2-D transpose.
+//! Dense matrix multiplication and the fused dense layer.
 
 use super::elementwise::bias_grad;
 use super::gemm::gemm;
@@ -184,23 +184,6 @@ impl Tensor {
         });
         Tensor::from_op(out, Shape::new(&[m, n]), parents, backward)
     }
-
-    /// Transpose of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn t(&self) -> Tensor {
-        let (r, c) = self.shape_obj().as_2d();
-        let out = transpose(&self.data(), r, c);
-        let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
-            if src.requires_grad() {
-                src.accumulate_grad(&transpose(g, c, r));
-            }
-        });
-        Tensor::from_op(out, Shape::new(&[c, r]), vec![self.clone()], backward)
-    }
 }
 
 #[cfg(test)]
@@ -226,23 +209,6 @@ mod tests {
         a.matmul(&b).sum().backward();
         assert_eq!(a.grad().unwrap(), vec![11., 15., 11., 15.]);
         assert_eq!(b.grad().unwrap(), vec![4., 4., 6., 6.]);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], &[2, 3]).unwrap();
-        let tt = a.t().t();
-        assert_eq!(tt.to_vec(), a.to_vec());
-        assert_eq!(tt.shape(), a.shape());
-    }
-
-    #[test]
-    fn transpose_gradient() {
-        let a = Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], &[2, 3]).unwrap().with_grad();
-        let w = Tensor::from_vec(vec![1., 0., 0., 1., 1., 1.], &[3, 2]).unwrap();
-        a.t().mul(&w).sum().backward();
-        // grad of a is w transposed back to [2,3]
-        assert_eq!(a.grad().unwrap(), vec![1., 0., 1., 0., 1., 1.]);
     }
 
     #[test]

@@ -48,34 +48,6 @@ impl Tensor {
         Tensor::from_op(out, Shape::new(&[n]), vec![self.clone()], backward)
     }
 
-    /// Sum along axis 0 of a matrix: `[N, D] → [D]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn sum_axis0(&self) -> Tensor {
-        let (n, d) = self.shape_obj().as_2d();
-        let data = self.data();
-        let mut out = vec![0.0; d];
-        for row in data.chunks(d) {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        drop(data);
-        let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
-            if src.requires_grad() {
-                let mut gs = vec![0.0; n * d];
-                for i in 0..n {
-                    gs[i * d..(i + 1) * d].copy_from_slice(g);
-                }
-                src.accumulate_grad(&gs);
-            }
-        });
-        Tensor::from_op(out, Shape::new(&[d]), vec![self.clone()], backward)
-    }
-
     /// Mean-squared-error against `target` (which carries no gradient
     /// requirement in typical use), returned as a `[1]` tensor.
     ///
@@ -124,15 +96,6 @@ mod tests {
         assert_eq!(y.to_vec(), vec![6.0, 15.0]);
         y.mul(&Tensor::from_slice(&[1.0, 10.0])).sum().backward();
         assert_eq!(a.grad().unwrap(), vec![1., 1., 1., 10., 10., 10.]);
-    }
-
-    #[test]
-    fn sum_axis0_values_and_grad() {
-        let a = Tensor::from_vec(vec![1., 2., 3., 4.], &[2, 2]).unwrap().with_grad();
-        let y = a.sum_axis0();
-        assert_eq!(y.to_vec(), vec![4.0, 6.0]);
-        y.sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![1.0; 4]);
     }
 
     #[test]

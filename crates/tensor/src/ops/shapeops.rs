@@ -10,7 +10,7 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ReshapeMismatch`] if the element counts differ.
-    pub fn reshape(&self, shape: &[usize]) -> Result<Tensor, TensorError> {
+    pub(crate) fn reshape(&self, shape: &[usize]) -> Result<Tensor, TensorError> {
         let to: usize = shape.iter().product();
         if to != self.numel() {
             return Err(TensorError::ReshapeMismatch {

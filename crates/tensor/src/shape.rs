@@ -8,11 +8,8 @@ use std::fmt;
 /// # Example
 ///
 /// ```
-/// use tp_tensor::Shape;
-///
-/// let s = Shape::new(&[3, 4]);
-/// assert_eq!(s.numel(), 12);
-/// assert_eq!(s.dims(), &[3, 4]);
+/// let t = tp_tensor::Tensor::zeros(&[3, 4]);
+/// assert_eq!(t.shape_obj().as_2d(), (3, 4));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
@@ -25,7 +22,7 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `dims` is empty; scalars are represented as `[1]`.
-    pub fn new(dims: &[usize]) -> Self {
+    pub(crate) fn new(dims: &[usize]) -> Self {
         assert!(!dims.is_empty(), "shape must have at least one dimension");
         Shape {
             dims: dims.to_vec(),
@@ -33,27 +30,18 @@ impl Shape {
     }
 
     /// The dimension sizes.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.dims
     }
 
     /// Number of dimensions.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.dims.len()
     }
 
     /// Total number of elements (product of all dims).
-    pub fn numel(&self) -> usize {
+    pub(crate) fn numel(&self) -> usize {
         self.dims.iter().product()
-    }
-
-    /// Size along dimension `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d >= self.rank()`.
-    pub fn dim(&self, d: usize) -> usize {
-        self.dims[d]
     }
 
     /// Returns `(rows, cols)` for a rank-2 shape.
@@ -64,12 +52,6 @@ impl Shape {
     pub fn as_2d(&self) -> (usize, usize) {
         assert_eq!(self.rank(), 2, "expected rank-2 shape, got {self}");
         (self.dims[0], self.dims[1])
-    }
-}
-
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape::new(dims)
     }
 }
 
@@ -95,7 +77,7 @@ mod tests {
         let s = Shape::new(&[2, 3, 4]);
         assert_eq!(s.numel(), 24);
         assert_eq!(s.rank(), 3);
-        assert_eq!(s.dim(1), 3);
+        assert_eq!(s.dims(), &[2, 3, 4]);
     }
 
     #[test]

@@ -120,18 +120,13 @@ impl Tensor {
     }
 
     /// A tensor filled with `value`.
-    pub fn full(shape: &[usize], value: f32) -> Tensor {
+    fn full(shape: &[usize], value: f32) -> Tensor {
         let n: usize = shape.iter().product();
         Tensor::leaf(vec![value; n], Shape::new(shape))
     }
 
-    /// A single-element tensor of shape `[1]`.
-    pub fn scalar(value: f32) -> Tensor {
-        Tensor::leaf(vec![value], Shape::new(&[1]))
-    }
-
     /// A tensor with elements drawn uniformly from `[lo, hi)`.
-    pub fn rand_uniform<R: Rng>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Tensor {
+    pub(crate) fn rand_uniform<R: Rng>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Tensor {
         let n: usize = shape.iter().product();
         let data: Vec<f32> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
         Tensor::leaf(data, Shape::new(shape))
@@ -223,7 +218,7 @@ impl Tensor {
     }
 
     /// Rank (number of dimensions).
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.inner.shape.rank()
     }
 
@@ -257,25 +252,6 @@ impl Tensor {
             self.inner.shape
         );
         self.data()[0]
-    }
-
-    /// Element at row-major flat index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn at(&self, i: usize) -> f32 {
-        self.data()[i]
-    }
-
-    /// Element at `(row, col)` of a rank-2 tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2 or the indices are out of bounds.
-    pub fn at2(&self, row: usize, col: usize) -> f32 {
-        let (_, c) = self.inner.shape.as_2d();
-        self.data()[row * c + col]
     }
 
     // ------------------------------------------------------------------
@@ -371,7 +347,7 @@ mod tests {
     #[test]
     fn construction_and_access() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        assert_eq!(t.at2(1, 0), 3.0);
+        assert_eq!(t.to_vec()[2], 3.0);
         assert_eq!(t.numel(), 4);
         assert!(!t.requires_grad());
     }
@@ -426,7 +402,7 @@ mod tests {
     #[test]
     fn ids_are_unique_across_threads() {
         let handles: Vec<_> = (0..4)
-            .map(|_| std::thread::spawn(|| (0..100).map(|_| Tensor::scalar(0.0).id()).collect::<Vec<u64>>()))
+            .map(|_| std::thread::spawn(|| (0..100).map(|_| Tensor::from_slice(&[0.0]).id()).collect::<Vec<u64>>()))
             .collect();
         let mut all: Vec<u64> = handles
             .into_iter()

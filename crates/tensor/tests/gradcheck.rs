@@ -56,27 +56,6 @@ fn vals_nonzero(rng: &mut StdRng, n: usize) -> Vec<f32> {
 }
 
 #[test]
-fn grad_tanh() {
-    prop::check("grad_tanh", CASES, |rng| {
-        check_op(vals(rng, 6), &[2, 3], |x| x.tanh().sum());
-    });
-}
-
-#[test]
-fn grad_sigmoid() {
-    prop::check("grad_sigmoid", CASES, |rng| {
-        check_op(vals(rng, 6), &[6], |x| x.sigmoid().sum());
-    });
-}
-
-#[test]
-fn grad_softplus() {
-    prop::check("grad_softplus", CASES, |rng| {
-        check_op(vals(rng, 4), &[4], |x| x.softplus().sum());
-    });
-}
-
-#[test]
 fn grad_square_mean() {
     prop::check("grad_square_mean", CASES, |rng| {
         check_op(vals(rng, 8), &[2, 4], |x| x.square().mean());
@@ -94,13 +73,6 @@ fn grad_exp() {
 fn grad_ln() {
     prop::check("grad_ln", CASES, |rng| {
         check_op(vals_nonzero(rng, 4), &[4], |x| x.ln().sum());
-    });
-}
-
-#[test]
-fn grad_sqrt() {
-    prop::check("grad_sqrt", CASES, |rng| {
-        check_op(vals_nonzero(rng, 4), &[4], |x| x.sqrt().sum());
     });
 }
 
@@ -167,14 +139,6 @@ fn grad_mul_chain() {
 }
 
 #[test]
-fn grad_div_by_const() {
-    prop::check("grad_div_by_const", CASES, |rng| {
-        let c = Tensor::from_slice(&[2.0, 4.0, 0.5, 1.0]);
-        check_op(vals(rng, 4), &[4], move |x| x.div(&c).sum());
-    });
-}
-
-#[test]
 fn grad_gather() {
     prop::check("grad_gather", CASES, |rng| {
         check_op(vals(rng, 6), &[3, 2], |x| {
@@ -212,11 +176,9 @@ fn grad_outer_flatten() {
 }
 
 #[test]
-fn grad_sum_axes() {
-    prop::check("grad_sum_axes", CASES, |rng| {
-        let v = vals(rng, 6);
-        check_op(v.clone(), &[2, 3], |x| x.sum_axis1().square().sum());
-        check_op(v, &[2, 3], |x| x.sum_axis0().square().sum());
+fn grad_sum_axis1() {
+    prop::check("grad_sum_axis1", CASES, |rng| {
+        check_op(vals(rng, 6), &[2, 3], |x| x.sum_axis1().square().sum());
     });
 }
 

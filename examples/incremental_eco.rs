@@ -69,7 +69,7 @@ fn main() {
 
         println!(
             "{step:>5} {recomputed:>14} {inc_ms:>12.2} {full_ms:>12.2} {inc_wns:>12.4} {:>10}",
-            if (inc_wns - full.wns_setup()).abs() < 1e-4 { "yes" } else { "NO" }
+            if inc_wns.to_bits() == full.wns_setup().to_bits() { "yes" } else { "NO" }
         );
     }
     println!(

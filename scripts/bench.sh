@@ -54,21 +54,19 @@ export TP_THREADS="${TP_THREADS:-4}"
 export TP_SCALE="${TP_SCALE:-default}"
 export TP_PARTITION_NODES="${TP_PARTITION_NODES:-0}"
 export TP_BENCH_OUT="$OUT_DIR"
-SUITES=(train sta engines models tensor_ops scenarios serve)
+SUITES=(train models tensor_ops scenarios serve)
 for suite in "${SUITES[@]}"; do
     echo "== bench: $suite (TP_THREADS=$TP_THREADS) =="
     run_suite "$suite"
 done
 
-# Single-thread baseline for the parallelized hot paths: re-run the sta
-# and train suites with the pool pinned to one worker so speedup is
-# computable as threads1/BENCH_x.json ÷ BENCH_x.json medians.
+# Single-thread baseline for the parallelized training step: re-run the
+# train suite with the pool pinned to one worker so speedup is computable
+# as threads1/BENCH_train.json ÷ BENCH_train.json medians.
 mkdir -p "$OUT_DIR/threads1"
 export TP_BENCH_OUT="$OUT_DIR/threads1"
-for suite in sta train; do
-    echo "== bench: $suite (TP_THREADS=1 baseline) =="
-    TP_THREADS=1 run_suite "$suite"
-done
+echo "== bench: train (TP_THREADS=1 baseline) =="
+TP_THREADS=1 run_suite train
 
 echo "bench: OK — artifacts in $OUT_DIR (+ threads1/ baseline)"
 ls -l "$OUT_DIR"/BENCH_*.json "$OUT_DIR"/threads1/BENCH_*.json
