@@ -1,5 +1,5 @@
 //! Regenerates **Table 4**: net-delay prediction R² — statistics-based
-//! random forest and MLP (Barboza et al. [5]) vs. the paper's net-embedding
+//! random forest and MLP (Barboza et al. \[5\]) vs. the paper's net-embedding
 //! GNN, per design plus train/test averages.
 
 use tp_baselines::stats::{net_delay_features, rf4, Standardizer, StatsDataset, STATS_FEATURES};

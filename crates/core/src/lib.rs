@@ -64,6 +64,6 @@ pub use parbridge::install_par_metrics;
 pub use plan::{EdgeGroup, LevelPlan, PropPlan};
 pub use prop::Propagation;
 pub use train::{
-    CheckpointPolicy, DivergenceEvent, EpochStats, EvalReport, FitOptions, GuardPolicy,
-    TrainConfig, TrainReport, Trainer,
+    DivergenceCause, DivergenceEvent, EpochStats, EvalReport, FitOptions, TrainConfig,
+    TrainReport, Trainer,
 };

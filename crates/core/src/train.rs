@@ -3,31 +3,28 @@
 //! Beyond the plain epoch loop, [`Trainer::fit_with`] layers three
 //! production protections (DESIGN.md §Fault tolerance):
 //!
-//! - **checkpoint/resume** — periodic atomic [`Checkpoint`]s carrying
-//!   model weights, Adam moments, epoch/step cursors and the RNG stream;
-//!   [`Trainer::resume_from_dir`] restores the newest valid one and the
-//!   resumed run is bit-identical to an uninterrupted run;
-//! - **divergence guards** — a non-finite loss or gradient norm never
+//! - **checkpoint/resume** — an atomic [`Checkpoint`] after every epoch,
+//!   carrying model weights, Adam moments, epoch/step cursors and the RNG
+//!   stream; [`Trainer::resume_from_dir`] restores the newest valid one and
+//!   the resumed run is bit-identical to an uninterrupted run;
+//! - **divergence guards** — a non-finite gradient norm or update never
 //!   commits: the step rolls back to the pre-step snapshot, the learning
-//!   rate backs off, and the retry is recorded in the [`TrainReport`];
+//!   rate backs off, and the retry is recorded in the [`TrainReport`]. A
+//!   non-finite loss would recur on every retry, so it skips the design
+//!   for the epoch at once and keeps the learning rate;
 //! - **graceful degradation** — designs failing `DesignGraph::validate`
 //!   are skipped and reported instead of poisoning the epoch.
 //!
-//! **Threading model.** Per-design SGD (the default,
-//! [`TrainConfig::design_batch`] `= 1`) is inherently serial — Adam updates
-//! every parameter between designs — so that loop parallelizes one layer
-//! down: the dense matmuls behind every forward/backward pass split by
-//! output row across `tp-par` workers (see DESIGN.md §8). With
-//! `design_batch` ≥ 2 (or 0 = full batch) the trainer instead evaluates
-//! whole per-design gradients concurrently: the `Arc`-based tape is
-//! `Send + Sync`, each worker diverts its leaf gradients into a
-//! thread-local sink ([`tp_tensor::collect_grads`]), and the per-design
-//! results fold in a fixed block order ([`tp_par::reduce_blocks`]) before
-//! one mean-gradient Adam step per batch. Either way, loss trajectories
-//! and checkpoints are bit-identical at any `TP_THREADS`.
+//! **Threading model.** Training is per-design SGD: Adam updates every
+//! parameter between designs, so the design loop is serial and
+//! parallelism sits one layer down, where the dense matmuls behind every
+//! forward/backward pass split by output row across `tp-par` workers (see
+//! DESIGN.md §8). Loss trajectories and checkpoints are bit-identical at
+//! any `TP_THREADS`.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use tp_data::{r2_score, Dataset, DesignGraph};
@@ -40,6 +37,19 @@ use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::faultinject::FaultPlan;
 use crate::{combined_loss, AuxMode, LossParts, Prediction, PropPlan, TimingGnn};
 
+/// Global gradient-norm clip (propagation graphs are deep).
+const GRAD_CLIP: f32 = 5.0;
+/// Final learning rate as a fraction of [`TrainConfig::lr`]: the cosine
+/// decay over the epoch budget ends here.
+const LR_FLOOR: f32 = 0.1;
+/// Rollback + learning-rate-backoff retries per step before the design is
+/// skipped for the epoch.
+const MAX_RETRIES: u32 = 3;
+/// Learning-rate multiplier applied on each rollback.
+const LR_BACKOFF: f32 = 0.5;
+/// Floor the backoff cannot cross.
+const MIN_LR: f32 = 1e-7;
+
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
@@ -47,23 +57,10 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Global gradient-norm clip (propagation graphs are deep).
-    pub grad_clip: f32,
     /// Auxiliary-task configuration (the Table-5 ablation).
     pub aux: AuxMode,
     /// Print progress every `log_every` epochs (0 = silent).
     pub log_every: usize,
-    /// Final learning rate as a fraction of `lr` (cosine decay over the
-    /// epoch budget); 1.0 disables the schedule.
-    pub lr_floor: f32,
-    /// Designs per optimizer step. `1` (the default) is classic per-design
-    /// SGD with a serial design loop; `N ≥ 2` evaluates gradients for `N`
-    /// consecutive designs in parallel across tp-par workers and commits
-    /// one mean-gradient step per batch; `0` means full-batch (all training
-    /// designs per step). Changing this changes the *optimization
-    /// trajectory* (it is a real hyper-parameter); for any fixed value the
-    /// results are bit-identical at any thread count.
-    pub design_batch: usize,
 }
 
 impl Default for TrainConfig {
@@ -71,57 +68,8 @@ impl Default for TrainConfig {
         TrainConfig {
             epochs: 60,
             lr: 2e-3,
-            grad_clip: 5.0,
             aux: AuxMode::Full,
             log_every: 0,
-            lr_floor: 0.1,
-            design_batch: 1,
-        }
-    }
-}
-
-/// Divergence-guard policy: how a non-finite step is rolled back and
-/// retried.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardPolicy {
-    /// Maximum rollback + learning-rate-backoff retries per step before
-    /// the design is skipped for the epoch.
-    pub max_retries: u32,
-    /// Learning-rate multiplier applied on each rollback.
-    pub lr_backoff: f32,
-    /// Floor the backoff cannot cross.
-    pub min_lr: f32,
-}
-
-impl Default for GuardPolicy {
-    fn default() -> Self {
-        GuardPolicy {
-            max_retries: 3,
-            lr_backoff: 0.5,
-            min_lr: 1e-7,
-        }
-    }
-}
-
-/// Periodic-checkpoint policy for [`Trainer::fit_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Directory the `ckpt-NNNNNN.tpck` files go to (created on demand).
-    pub dir: PathBuf,
-    /// Write a checkpoint every this many epochs (the final epoch is
-    /// always checkpointed; 0 behaves like 1).
-    pub every_epochs: usize,
-    /// Retain only the newest `keep` checkpoint files (0 = keep all).
-    pub keep: usize,
-}
-
-impl CheckpointPolicy {
-    /// Checkpoints every epoch into `dir`, keeping everything.
-    pub fn every_epoch(dir: impl Into<PathBuf>) -> CheckpointPolicy {
-        CheckpointPolicy {
-            dir: dir.into(),
-            every_epochs: 1,
-            keep: 0,
         }
     }
 }
@@ -130,10 +78,9 @@ impl CheckpointPolicy {
 /// training.
 #[derive(Debug, Clone, Default)]
 pub struct FitOptions {
-    /// Divergence-guard policy.
-    pub guard: GuardPolicy,
-    /// Periodic checkpointing (off when `None`).
-    pub checkpoint: Option<CheckpointPolicy>,
+    /// Directory a `ckpt-NNNNNN.tpck` checkpoint is written to after every
+    /// epoch (created on demand; no checkpoints when `None`).
+    pub checkpoint_dir: Option<PathBuf>,
     /// Deterministic fault schedule (tests only; empty in production).
     pub faults: FaultPlan,
 }
@@ -160,6 +107,28 @@ pub struct EpochStats {
     pub rollbacks: usize,
 }
 
+/// What tripped the divergence guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DivergenceCause {
+    /// The loss was non-finite at the step's unchanged parameters. The
+    /// forward is deterministic, so every retry would see the same loss:
+    /// the design is skipped at once and the learning rate is kept.
+    NonFiniteLoss,
+    /// The gradient norm or an updated parameter was non-finite: rolled
+    /// back and retried at a backed-off learning rate.
+    NonFiniteUpdate,
+}
+
+impl DivergenceCause {
+    /// The cause as the run manifest and the tp-obs events spell it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DivergenceCause::NonFiniteLoss => "non_finite_loss",
+            DivergenceCause::NonFiniteUpdate => "non_finite_update",
+        }
+    }
+}
+
 /// One divergence-guard activation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DivergenceEvent {
@@ -169,12 +138,15 @@ pub struct DivergenceEvent {
     pub step: u64,
     /// Design being trained when the divergence hit.
     pub design: String,
+    /// What was non-finite.
+    pub cause: DivergenceCause,
     /// Retry attempt number (1-based) this event records.
     pub attempt: u32,
     /// Learning rate before the backoff.
     pub lr_before: f32,
     /// Learning rate after the backoff (equal to `lr_before` when the
-    /// retry budget was exhausted and the design was skipped).
+    /// design was skipped: a non-finite loss, or an exhausted retry
+    /// budget).
     pub lr_after: f32,
     /// Whether a later attempt of this step committed successfully.
     pub recovered: bool,
@@ -220,10 +192,7 @@ impl TrainReport {
         report
             .config("epochs", config.epochs)
             .config("lr", config.lr)
-            .config("grad_clip", config.grad_clip)
-            .config("lr_floor", config.lr_floor)
             .config("aux", format!("{:?}", config.aux))
-            .config("design_batch", config.design_batch)
             .config("threads", tp_par::threads())
             .config("partition_nodes", tp_partition::partition_nodes());
         let epochs: Vec<String> = self
@@ -250,11 +219,12 @@ impl TrainReport {
             .iter()
             .map(|d| {
                 format!(
-                    "{{\"epoch\": {}, \"step\": {}, \"design\": {}, \"attempt\": {}, \
-                     \"lr_before\": {}, \"lr_after\": {}, \"recovered\": {}}}",
+                    "{{\"epoch\": {}, \"step\": {}, \"design\": {}, \"cause\": \"{}\", \
+                     \"attempt\": {}, \"lr_before\": {}, \"lr_after\": {}, \"recovered\": {}}}",
                     d.epoch,
                     d.step,
                     escape(&d.design),
+                    d.cause.as_str(),
                     d.attempt,
                     fmt_f64(d.lr_before as f64),
                     fmt_f64(d.lr_after as f64),
@@ -294,24 +264,12 @@ impl EvalReport {
 
 /// Outcome of one guarded optimization step.
 struct StepOutcome {
-    /// Per-design loss decompositions of the committed attempt, in step
-    /// order; `None` when the retry budget was exhausted and nothing was
-    /// committed.
-    parts: Option<Vec<LossParts>>,
+    /// Loss decomposition of the committed attempt; `None` when the design
+    /// was skipped and nothing was committed.
+    parts: Option<LossParts>,
     /// Number of rollback + backoff events the step consumed.
     rollbacks: u32,
 }
-
-/// Adaptive dispatch for parallel per-design gradient evaluation: items
-/// are the batch's designs, units the total pin count (forward/backward
-/// cost tracks design size).
-static BATCH_COST: tp_par::CostModel = tp_par::CostModel::new("train.design_grads", 500.0);
-
-/// Fixed fold-block size for batched gradient accumulation. Caller-fixed
-/// and independent of the thread count, so the floating-point association
-/// order — and therefore every trained weight — is bit-identical at any
-/// `TP_THREADS` (tp-par's ordered-reduction rule).
-const GRAD_FOLD_BLOCK: usize = 8;
 
 /// Trains a [`TimingGnn`] on a dataset's training split and evaluates it.
 pub struct Trainer {
@@ -319,7 +277,7 @@ pub struct Trainer {
     config: TrainConfig,
     optimizer: Adam,
     params: Vec<Tensor>,
-    plans: HashMap<String, PropPlan>,
+    plans: HashMap<String, Arc<PropPlan>>,
     rng: StdRng,
     step_count: u64,
     start_epoch: usize,
@@ -366,10 +324,10 @@ impl Trainer {
         self.start_epoch
     }
 
-    fn plan_for(&mut self, design: &DesignGraph) -> PropPlan {
+    fn plan_for(&mut self, design: &DesignGraph) -> Arc<PropPlan> {
         self.plans
             .entry(design.name.clone())
-            .or_insert_with(|| PropPlan::build(design))
+            .or_insert_with(|| Arc::new(PropPlan::build(design)))
             .clone()
     }
 
@@ -379,7 +337,7 @@ impl Trainer {
     pub fn step(&mut self, design: &DesignGraph) -> LossParts {
         let plan = self.plan_for(design);
         let parts = self.design_grads(design, &plan);
-        clip_grad_norm(&self.params, self.config.grad_clip);
+        clip_grad_norm(&self.params, GRAD_CLIP);
         self.optimizer.step();
         parts
     }
@@ -411,142 +369,98 @@ impl Trainer {
         parts
     }
 
-    /// Batch gradients: forward/backward for every design of the batch runs
-    /// concurrently on tp-par workers (leaf gradients diverted into
-    /// per-worker sinks by [`tp_tensor::collect_grads`]), and the
-    /// per-design gradients fold in [`GRAD_FOLD_BLOCK`]-sized blocks of
-    /// batch order into one mean gradient per parameter. Every parameter
-    /// gets a gradient, zeros where no design's tape reached it.
-    fn batch_grads(&self, designs: &[&DesignGraph], plans: &[PropPlan]) -> Vec<LossParts> {
-        let (model, params, aux) = (&self.model, &self.params, self.config.aux);
-        let units: u64 = designs.iter().map(|d| d.num_pins as u64).sum();
-        let results: Vec<(LossParts, Vec<Option<Vec<f32>>>)> =
-            tp_par::map_items_costed(&BATCH_COST, designs.len(), units, |i| {
-                tp_tensor::collect_grads(params, || {
-                    let pred = model.forward(designs[i], &plans[i]);
-                    let (loss, parts) = combined_loss(designs[i], &plans[i], &pred, aux);
-                    loss.backward();
-                    parts
-                })
-            });
-        // Fold per-design gradients into the shared slots: fixed block
-        // size, block-index order — bit-identical at any thread count.
-        let scale = 1.0 / designs.len() as f32;
-        for (pi, p) in params.iter().enumerate() {
-            let folded = tp_par::reduce_blocks(
-                designs.len(),
-                GRAD_FOLD_BLOCK,
-                |range| {
-                    let mut acc = vec![0.0f32; p.numel()];
-                    for d in range {
-                        if let Some(g) = &results[d].1[pi] {
-                            for (a, &v) in acc.iter_mut().zip(g) {
-                                *a += v;
-                            }
-                        }
-                    }
-                    acc
-                },
-                |mut a, b| {
-                    for (x, &y) in a.iter_mut().zip(&b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-            let mut mean = folded.unwrap_or_else(|| vec![0.0; p.numel()]);
-            for v in &mut mean {
-                *v *= scale;
-            }
-            p.replace_grad(mean);
-        }
-        results.into_iter().map(|(p, _)| p).collect()
-    }
-
-    /// One guarded step around the gradient producer `grads`: a non-finite
-    /// loss, gradient norm, or post-update parameter never survives. The
-    /// bad update is rolled back (or never committed), the learning rate
-    /// backs off by `guard.lr_backoff`, and the step retries up to
-    /// `guard.max_retries` times. `name` labels the step's divergence
-    /// events.
+    /// One guarded step on `design`: a non-finite loss, gradient norm or
+    /// post-update parameter never survives. A non-finite gradient norm or
+    /// update is rolled back (or never committed), the learning rate backs
+    /// off by [`LR_BACKOFF`], and the step retries up to [`MAX_RETRIES`]
+    /// times. A non-finite loss skips the design at once: the parameters
+    /// are unchanged, so a retry would see the same loss.
     fn guarded_step(
         &mut self,
-        name: &str,
+        design: &DesignGraph,
+        plan: &PropPlan,
         epoch: usize,
-        options: &FitOptions,
+        faults: &FaultPlan,
         events: &mut Vec<DivergenceEvent>,
-        grads: impl Fn(&Trainer) -> Vec<LossParts>,
     ) -> StepOutcome {
-        let guard = &options.guard;
         let step_id = self.step_count;
         self.step_count += 1;
         let first_event = events.len();
         let mut rollbacks = 0u32;
         loop {
-            let parts = grads(self);
+            let parts = self.design_grads(design, plan);
             // Transient faults hit a step once; the post-rollback retry
             // recomputes clean gradients, as after a real bit flip.
-            if rollbacks == 0 && options.faults.injects_nan_grad(step_id) {
+            if rollbacks == 0 && faults.injects_nan_grad(step_id) {
                 let p0 = &self.params[0];
                 p0.replace_grad(vec![f32::NAN; p0.numel()]);
             }
-            let norm = clip_grad_norm(&self.params, self.config.grad_clip);
-            let total: f32 = parts.iter().map(|p| p.total).sum();
-            if total.is_finite() && norm.is_finite() {
-                let snapshot = self.snapshot_params();
-                let opt_state = self.optimizer.export_state();
-                self.optimizer.step();
-                if self.params_finite() {
-                    for e in &mut events[first_event..] {
-                        e.recovered = true;
+            let norm = clip_grad_norm(&self.params, GRAD_CLIP);
+            let cause = if !parts.total.is_finite() {
+                DivergenceCause::NonFiniteLoss
+            } else {
+                if norm.is_finite() {
+                    let snapshot = self.snapshot_params();
+                    let opt_state = self.optimizer.export_state();
+                    self.optimizer.step();
+                    if self.params_finite() {
+                        for e in &mut events[first_event..] {
+                            e.recovered = true;
+                        }
+                        return StepOutcome {
+                            parts: Some(parts),
+                            rollbacks,
+                        };
                     }
-                    return StepOutcome {
-                        parts: Some(parts),
-                        rollbacks,
-                    };
+                    // The update itself overflowed: roll back to the last
+                    // good parameter snapshot before backing off.
+                    self.restore_params(&snapshot);
+                    self.optimizer
+                        .import_state(opt_state)
+                        .expect("own snapshot always fits");
                 }
-                // The update itself overflowed: roll back to the last good
-                // parameter snapshot before backing off.
-                self.restore_params(&snapshot);
-                self.optimizer
-                    .import_state(opt_state)
-                    .expect("own snapshot always fits");
-            }
+                DivergenceCause::NonFiniteUpdate
+            };
             self.optimizer.zero_grad();
             let lr_before = self.optimizer.lr();
-            let exhausted = rollbacks >= guard.max_retries;
-            let lr_after = if exhausted {
-                lr_before
+            let retry = cause != DivergenceCause::NonFiniteLoss && rollbacks < MAX_RETRIES;
+            let lr_after = if retry {
+                (lr_before * LR_BACKOFF).max(MIN_LR)
             } else {
-                rollbacks += 1;
-                (lr_before * guard.lr_backoff).max(guard.min_lr)
+                lr_before
             };
-            let attempt = if exhausted { rollbacks + 1 } else { rollbacks };
+            let name = match cause {
+                DivergenceCause::NonFiniteLoss => "train.nonfinite_loss",
+                DivergenceCause::NonFiniteUpdate => "train.divergence",
+            };
             tp_obs::event!(
-                "train.divergence",
+                name,
                 epoch = epoch,
                 step = step_id,
-                design = name,
-                attempt = attempt,
+                design = design.name.as_str(),
+                cause = cause.as_str(),
+                attempt = rollbacks + 1,
                 lr_before = lr_before,
                 lr_after = lr_after,
-                exhausted = exhausted,
+                skipped = !retry,
             );
             events.push(DivergenceEvent {
                 epoch,
                 step: step_id,
-                design: name.to_string(),
-                attempt,
+                design: design.name.clone(),
+                cause,
+                attempt: rollbacks + 1,
                 lr_before,
                 lr_after,
                 recovered: false,
             });
-            if exhausted {
+            if !retry {
                 return StepOutcome {
                     parts: None,
                     rollbacks,
                 };
             }
+            rollbacks += 1;
             self.optimizer.set_lr(lr_after);
             tp_obs::metrics::count("train.rollbacks", 1);
         }
@@ -562,7 +476,8 @@ impl Trainer {
     }
 
     /// Fault-tolerant training: validates designs up front, guards every
-    /// step against divergence, and (optionally) checkpoints periodically.
+    /// step against divergence, and (optionally) checkpoints after every
+    /// epoch.
     pub fn fit_with(&mut self, dataset: &Dataset, options: &FitOptions) -> TrainReport {
         let fit_t0 = Instant::now();
         let mut report = TrainReport {
@@ -599,12 +514,12 @@ impl Trainer {
         let first_epoch = self.start_epoch.min(self.config.epochs);
         for epoch in first_epoch..self.config.epochs {
             let _epoch_span = tp_obs::span!("epoch", epoch = epoch);
-            // Cosine learning-rate decay toward `lr_floor · lr`.
-            if self.config.lr_floor < 1.0 && self.config.epochs > 1 {
+            // Cosine learning-rate decay toward `LR_FLOOR · lr`.
+            if self.config.epochs > 1 {
                 let t = epoch as f32 / (self.config.epochs - 1) as f32;
                 let cos = 0.5 * (1.0 + (std::f32::consts::PI * t).cos());
-                let lr = base_lr * (self.config.lr_floor + (1.0 - self.config.lr_floor) * cos);
-                self.optimizer.set_lr(lr);
+                self.optimizer
+                    .set_lr(base_lr * (LR_FLOOR + (1.0 - LR_FLOOR) * cos));
             }
             let t0 = Instant::now();
             let mut agg = EpochStats {
@@ -613,46 +528,22 @@ impl Trainer {
                 ..EpochStats::default()
             };
             let mut count = 0;
-            let batch_size = match self.config.design_batch {
-                0 => train.len().max(1),
-                n => n,
-            };
-            for batch in train.chunks(batch_size) {
-                let _step_span = if batch_size == 1 {
-                    tp_obs::span!("design", design = batch[0].name.as_str())
-                } else {
-                    tp_obs::span!("design_batch", designs = batch.len())
-                };
-                let plans: Vec<PropPlan> = batch.iter().map(|d| self.plan_for(d)).collect();
-                let name = match batch {
-                    [only] => only.name.clone(),
-                    _ => format!("{}(+{} more)", batch[0].name, batch.len() - 1),
-                };
-                // A batch of one stays per-design SGD: the batch fold hands
-                // every parameter a gradient, zeros where no tape reached,
-                // and Adam steps those, while per-design backward leaves
-                // them `None`, which Adam skips.
+            for &design in &train {
+                let _design_span = tp_obs::span!("design", design = design.name.as_str());
+                let plan = self.plan_for(design);
                 let events = &mut report.divergences;
-                let outcome = self.guarded_step(&name, epoch, options, events, |t| {
-                    if batch_size == 1 {
-                        vec![t.design_grads(batch[0], &plans[0])]
-                    } else {
-                        t.batch_grads(batch, &plans)
-                    }
-                });
+                let outcome = self.guarded_step(design, &plan, epoch, &options.faults, events);
                 tp_obs::metrics::count("train.steps", 1);
                 agg.rollbacks += outcome.rollbacks as usize;
                 match outcome.parts {
-                    Some(parts) => {
-                        for p in parts {
-                            agg.atslew += p.atslew;
-                            agg.celld += p.celld;
-                            agg.netd += p.netd;
-                            agg.total += p.total;
-                            count += 1;
-                        }
+                    Some(p) => {
+                        agg.atslew += p.atslew;
+                        agg.celld += p.celld;
+                        agg.netd += p.netd;
+                        agg.total += p.total;
+                        count += 1;
                     }
-                    None => agg.skipped += batch.len(),
+                    None => agg.skipped += 1,
                 }
             }
             let k = count.max(1) as f32;
@@ -671,21 +562,18 @@ impl Trainer {
             }
             report.epochs.push(agg);
 
-            if let Some(policy) = &options.checkpoint {
+            if let Some(dir) = &options.checkpoint_dir {
                 let done = epoch + 1;
-                let every = policy.every_epochs.max(1);
-                if done % every == 0 || done == self.config.epochs {
-                    let _ckpt_span = tp_obs::span!("checkpoint", epoch = done);
-                    if let Err(e) = self.write_checkpoint(policy, done as u64) {
-                        tp_obs::event!(
-                            "train.checkpoint_failure",
-                            epoch = done,
-                            error = format!("{e}"),
-                        );
-                        report
-                            .checkpoint_failures
-                            .push(format!("epoch {done}: {e}"));
-                    }
+                let _ckpt_span = tp_obs::span!("checkpoint", epoch = done);
+                if let Err(e) = self.write_checkpoint(dir, done as u64) {
+                    tp_obs::event!(
+                        "train.checkpoint_failure",
+                        epoch = done,
+                        error = format!("{e}"),
+                    );
+                    report
+                        .checkpoint_failures
+                        .push(format!("epoch {done}: {e}"));
                 }
             }
         }
@@ -696,19 +584,10 @@ impl Trainer {
         report
     }
 
-    fn write_checkpoint(&self, policy: &CheckpointPolicy, epoch: u64) -> Result<(), CheckpointError> {
-        std::fs::create_dir_all(&policy.dir)?;
-        let ck = self.checkpoint(epoch);
-        ck.write_atomic(&checkpoint::checkpoint_path(&policy.dir, epoch))?;
-        if policy.keep > 0 {
-            let files = checkpoint::list_checkpoints(&policy.dir);
-            if files.len() > policy.keep {
-                for old in &files[..files.len() - policy.keep] {
-                    let _ = std::fs::remove_file(old);
-                }
-            }
-        }
-        Ok(())
+    fn write_checkpoint(&self, dir: &Path, epoch: u64) -> Result<(), CheckpointError> {
+        std::fs::create_dir_all(dir)?;
+        self.checkpoint(epoch)
+            .write_atomic(&checkpoint::checkpoint_path(dir, epoch))
     }
 
     /// Snapshots the complete trainer state as a [`Checkpoint`] claiming
@@ -950,44 +829,42 @@ mod tests {
     }
 
     #[test]
-    fn batched_fit_reduces_loss() {
+    fn non_finite_loss_skips_the_design_once_at_an_unchanged_rate() {
         let ds = tiny_dataset();
+        let mut designs = ds.designs().to_vec();
+        let victim = designs
+            .iter()
+            .position(|d| d.is_train)
+            .expect("suite has a training design");
+        let name = designs[victim].name.clone();
+        // Still finite, so validation passes, but the untrained forward
+        // overflows.
+        let features = designs[victim].pin_features.to_vec();
+        designs[victim].pin_features = Tensor::from_vec(
+            features.iter().map(|v| v * 1e30).collect(),
+            designs[victim].pin_features.shape(),
+        )
+        .unwrap();
+        let ds = Dataset::from_designs(designs);
         let mut t = tiny_trainer(AuxMode::Full);
-        t.config.design_batch = 3;
-        let history = t.fit(&ds);
-        assert_eq!(history.len(), 8);
-        let first = history.first().unwrap().total;
-        let last = history.last().unwrap().total;
-        assert!(last < first, "batched training loss should drop: {first} -> {last}");
-    }
-
-    #[test]
-    fn full_batch_fit_reduces_loss() {
-        let ds = tiny_dataset();
-        let mut t = tiny_trainer(AuxMode::Full);
-        t.config.design_batch = 0; // all training designs per step
-        let history = t.fit(&ds);
-        let first = history.first().unwrap().total;
-        let last = history.last().unwrap().total;
-        assert!(last < first, "full-batch training loss should drop: {first} -> {last}");
-    }
-
-    #[test]
-    fn batched_injected_nan_rolls_back_and_recovers() {
-        let ds = tiny_dataset();
-        let mut t = tiny_trainer(AuxMode::Full);
-        t.config.design_batch = 4;
-        let options = FitOptions {
-            faults: FaultPlan::nan_grad_at([1]),
-            ..FitOptions::default()
-        };
-        let report = t.fit_with(&ds, &options);
-        assert!(!report.divergences.is_empty());
-        assert!(report.divergences.iter().all(|d| d.recovered));
-        assert!(t.params_finite(), "no NaN may survive the batch guard");
-        let first = report.epochs.first().unwrap().total;
-        let last = report.epochs.last().unwrap().total;
-        assert!(last < first, "batched training still converges: {first} -> {last}");
+        let report = t.fit_with(&ds, &FitOptions::default());
+        assert!(report.invalid_designs.is_empty());
+        assert_eq!(
+            report.divergences.len(),
+            report.epochs.len(),
+            "one event per epoch"
+        );
+        for (e, d) in report.epochs.iter().zip(&report.divergences) {
+            assert_eq!((d.epoch, d.design.as_str()), (e.epoch, name.as_str()));
+            assert_eq!(d.cause, DivergenceCause::NonFiniteLoss);
+            assert_eq!(d.attempt, 1);
+            assert_eq!(d.lr_after, d.lr_before, "the learning rate is kept");
+            assert!(!d.recovered);
+            assert_eq!(e.rollbacks, 0);
+            assert_eq!(e.skipped, 1);
+            assert!(e.total.is_finite());
+        }
+        assert!(t.params_finite());
     }
 
     #[test]

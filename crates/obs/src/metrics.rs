@@ -24,7 +24,7 @@ const SHARDS: usize = 8;
 #[derive(Debug, Default)]
 struct Shard(AtomicU64);
 
-/// A monotonically increasing counter, sharded over [`SHARDS`] atomics.
+/// A monotonically increasing counter, sharded over cache-line-padded atomics.
 #[derive(Debug)]
 pub struct Counter {
     shards: [Shard; SHARDS],

@@ -17,9 +17,7 @@
 //!    pre-allocated slot and hands the vector back in index order, so no
 //!    output ever depends on which worker finished first.
 //! 3. **Ordered reduction.** Parallel regions do independent per-item work;
-//!    any floating-point fold either stays serial in index order or uses
-//!    [`reduce_blocks`], whose block size is a caller-fixed constant
-//!    (independent of the thread count) folded in block-index order.
+//!    any floating-point fold stays serial, in index order.
 //!
 //! The worker count comes from `TP_THREADS` (default:
 //! `std::thread::available_parallelism`), overridable at runtime with
@@ -659,31 +657,6 @@ where
     out
 }
 
-/// Deterministic parallel reduction: maps fixed-size blocks of `block_len`
-/// items in parallel, then folds the block results serially in block-index
-/// order. Returns `None` when `len == 0`.
-///
-/// Because the block size is a caller-supplied constant — *not* derived
-/// from the thread count — the floating-point association order is
-/// identical at any thread count.
-///
-/// # Panics
-///
-/// Panics if `block_len == 0`; re-raises the first panic any block raised.
-pub fn reduce_blocks<R, M, F>(len: usize, block_len: usize, map: M, fold: F) -> Option<R>
-where
-    R: Send,
-    M: Fn(Range<usize>) -> R + Sync,
-    F: FnMut(R, R) -> R,
-{
-    assert!(block_len > 0, "reduce_blocks needs a positive block length");
-    let blocks = len.div_ceil(block_len);
-    let partials = map_items(blocks, |b| {
-        map(b * block_len..((b + 1) * block_len).min(len))
-    });
-    partials.into_iter().reduce(fold)
-}
-
 /// Raw base pointer of a mutable slice, shareable because each chunk
 /// reslices a disjoint row range.
 struct RawRows<T>(*mut T);
@@ -820,27 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_blocks_matches_serial_fold_at_any_thread_count() {
-        let _guard = override_lock();
-        let vals: Vec<f32> = (0..1003).map(|i| (i as f32).sqrt() * 0.37).collect();
-        let run = || {
-            reduce_blocks(
-                vals.len(),
-                64,
-                |r| r.map(|i| vals[i]).fold(0.0f32, |a, b| a + b),
-                |a, b| a + b,
-            )
-            .unwrap()
-        };
-        set_threads(1);
-        let one = run().to_bits();
-        set_threads(4);
-        let four = run().to_bits();
-        set_threads(0);
-        assert_eq!(one, four);
-    }
-
-    #[test]
     fn panics_propagate_and_pool_survives() {
         let _guard = override_lock();
         set_threads(4);
@@ -944,7 +896,6 @@ mod tests {
         assert!(map_items(0, |i| i).is_empty());
         assert!(chunk_ranges(0).is_empty());
         let mut empty: Vec<f32> = Vec::new();
-        assert_eq!(reduce_blocks(0, 8, |_| 1u32, |a, b| a + b), None);
         let m = CostModel::new("zero", 1.0);
         assert!(map_items_costed(&m, 0, 0, |i| i).is_empty());
         for_each_rows_mut_costed(&m, &mut empty, 4, 0, |_, _, _| panic!("must not run"));

@@ -1,8 +1,8 @@
 //! Reverse-mode sweep: topological ordering, gradient propagation, and the
-//! thread-local gradient sink that makes parallel per-design training safe.
+//! thread-local no-grad mode.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::{Mutex, PoisonError};
 
 use crate::Tensor;
@@ -124,114 +124,8 @@ impl Tensor {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Thread-local gradient sink
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// When set, leaf-gradient accumulation for the *registered ids only*
-    /// diverts here instead of the tensor's shared grad slot. This is what
-    /// lets several tp-par workers backprop graphs that all reference the
-    /// same parameter tensors: each worker's leaf grads land in its own
-    /// sink, and the trainer folds the per-design results in a fixed block
-    /// order afterwards (bit-identical at any thread count).
-    static SINK: RefCell<Option<HashMap<u64, Option<Vec<f32>>>>> =
-        const { RefCell::new(None) };
-}
-
-/// Diverts `g` into the active sink if `id` is registered there. Returns
-/// whether the gradient was captured (the caller skips the shared slot).
-pub(crate) fn sink_accumulate(id: u64, g: &[f32]) -> bool {
-    SINK.with(|sink| {
-        let mut sink = sink.borrow_mut();
-        let Some(map) = sink.as_mut() else {
-            return false;
-        };
-        let Some(slot) = map.get_mut(&id) else {
-            return false;
-        };
-        match slot.as_mut() {
-            Some(acc) => {
-                for (e, &v) in acc.iter_mut().zip(g) {
-                    *e += v;
-                }
-            }
-            None => *slot = Some(g.to_vec()),
-        }
-        true
-    })
-}
-
-/// Restores the previous sink when the `collect_grads` scope ends — on
-/// normal exit *or* panic. tp-par workers are persistent and reused, so a
-/// sink leaked past a panicking closure would silently swallow gradients
-/// of whatever runs on that worker next.
-struct SinkScope {
-    prev: Option<HashMap<u64, Option<Vec<f32>>>>,
-}
-
-impl SinkScope {
-    fn install(ids: &[u64]) -> SinkScope {
-        let fresh: HashMap<u64, Option<Vec<f32>>> =
-            ids.iter().map(|&id| (id, None)).collect();
-        let prev = SINK.with(|sink| sink.borrow_mut().replace(fresh));
-        SinkScope { prev }
-    }
-
-    fn take(self) -> HashMap<u64, Option<Vec<f32>>> {
-        // Dropping `self` afterwards restores the previous sink.
-        SINK.with(|sink| sink.borrow_mut().take()).unwrap_or_default()
-    }
-}
-
-impl Drop for SinkScope {
-    fn drop(&mut self) {
-        SINK.with(|sink| *sink.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Runs `f` with gradient accumulation into `leaves` diverted to a
-/// thread-local sink, returning `f`'s result and the captured gradient per
-/// leaf (in `leaves` order; `None` where no gradient reached the leaf).
-///
-/// The shared grad slots of `leaves` are untouched, so any number of
-/// threads may run `collect_grads` over graphs referencing the same
-/// parameters concurrently. Scopes nest: an inner scope shadows the outer
-/// one until it ends.
-///
-/// # Example
-///
-/// ```
-/// # use tp_tensor::{collect_grads, Tensor};
-/// let w = Tensor::from_slice(&[2.0]).with_grad();
-/// let (loss, grads) = collect_grads(std::slice::from_ref(&w), || {
-///     let y = w.mul(&w); // y = w², dy/dw = 2w
-///     y.backward();
-///     y.item()
-/// });
-/// assert_eq!(loss, 4.0);
-/// assert_eq!(grads[0].as_deref(), Some(&[4.0][..]));
-/// assert!(w.grad().is_none(), "the shared slot stays untouched");
-/// ```
-pub fn collect_grads<T>(leaves: &[Tensor], f: impl FnOnce() -> T) -> (T, Vec<Option<Vec<f32>>>) {
-    let ids: Vec<u64> = leaves.iter().map(Tensor::id).collect();
-    // Duplicate handles to one tensor would double-count its gradient in a
-    // way the caller cannot see; refuse early.
-    {
-        let mut seen = HashSet::new();
-        for &id in &ids {
-            assert!(seen.insert(id), "collect_grads leaves must be distinct tensors");
-        }
-    }
-    let scope = SinkScope::install(&ids);
-    let out = f();
-    let mut map = scope.take();
-    let grads = ids.iter().map(|id| map.remove(id).flatten()).collect();
-    (out, grads)
-}
-
-/// Compile-time proof that the tape crosses threads: the pool-based trainer
-/// moves whole graphs (closures capturing `Tensor`s) onto workers.
+/// Compile-time proof that tensors cross threads: tp-serve's connection
+/// threads and the sweep's prediction evaluator share one model's parameters.
 #[allow(dead_code)]
 fn assert_tape_is_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
@@ -242,7 +136,6 @@ fn assert_tape_is_send_sync() {
 
 #[cfg(test)]
 mod tests {
-    use super::collect_grads;
     use crate::Tensor;
 
     #[test]
@@ -280,92 +173,5 @@ mod tests {
         y.backward();
         y.backward();
         assert_eq!(x.grad().unwrap(), vec![8.0]);
-    }
-
-    #[test]
-    fn sink_captures_registered_leaves_only() {
-        let w = Tensor::from_slice(&[3.0]).with_grad();
-        let b = Tensor::from_slice(&[1.0]).with_grad();
-        let (_, grads) = collect_grads(std::slice::from_ref(&w), || {
-            let y = w.mul(&w).add(&b);
-            y.backward();
-        });
-        assert_eq!(grads[0].as_deref(), Some(&[6.0][..]));
-        assert!(w.grad().is_none(), "registered leaf bypasses shared slot");
-        assert_eq!(b.grad().unwrap(), vec![1.0], "unregistered leaf unaffected");
-    }
-
-    #[test]
-    fn sink_accumulates_across_backwards_in_scope() {
-        let w = Tensor::from_slice(&[2.0]).with_grad();
-        let (_, grads) = collect_grads(std::slice::from_ref(&w), || {
-            w.mul(&w).backward();
-            w.mul(&w).backward();
-        });
-        assert_eq!(grads[0].as_deref(), Some(&[8.0][..]), "4.0 twice");
-    }
-
-    #[test]
-    fn sink_scopes_clear_after_use() {
-        let w = Tensor::from_slice(&[2.0]).with_grad();
-        let _ = collect_grads(std::slice::from_ref(&w), || {
-            w.mul(&w).backward();
-        });
-        // After the scope: accumulation goes to the shared slot again.
-        w.mul(&w).backward();
-        assert_eq!(w.grad().unwrap(), vec![4.0]);
-    }
-
-    #[test]
-    fn sink_clears_on_panic() {
-        let w = Tensor::from_slice(&[2.0]).with_grad();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            collect_grads(std::slice::from_ref(&w), || panic!("mid-scope"))
-        }));
-        assert!(result.is_err());
-        w.mul(&w).backward();
-        assert_eq!(w.grad().unwrap(), vec![4.0], "no stale sink after panic");
-    }
-
-    #[test]
-    fn sink_scopes_nest() {
-        let w = Tensor::from_slice(&[2.0]).with_grad();
-        let (_, outer) = collect_grads(std::slice::from_ref(&w), || {
-            w.mul(&w).backward(); // outer scope: 4.0
-            let (_, inner) = collect_grads(std::slice::from_ref(&w), || {
-                w.add(&w).backward(); // inner scope: 2.0
-            });
-            assert_eq!(inner[0].as_deref(), Some(&[2.0][..]));
-        });
-        assert_eq!(outer[0].as_deref(), Some(&[4.0][..]));
-    }
-
-    #[test]
-    fn leaf_grads_collected_concurrently_match_serial() {
-        let w = Tensor::from_slice(&[1.5, -0.5]).with_grad();
-        let serial: Vec<Option<Vec<f32>>> = (0..8)
-            .map(|i| {
-                let (_, g) = collect_grads(std::slice::from_ref(&w), || {
-                    w.mul_scalar(i as f32 + 1.0).sum().backward();
-                });
-                g.into_iter().next().unwrap()
-            })
-            .collect();
-        let threaded: Vec<Option<Vec<f32>>> = {
-            let handles: Vec<_> = (0..8)
-                .map(|i| {
-                    let w = w.clone();
-                    std::thread::spawn(move || {
-                        let (_, g) = collect_grads(std::slice::from_ref(&w), || {
-                            w.mul_scalar(i as f32 + 1.0).sum().backward();
-                        });
-                        g.into_iter().next().unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        };
-        assert_eq!(serial, threaded);
-        assert!(w.grad().is_none());
     }
 }

@@ -36,12 +36,11 @@
 //! # }
 //! ```
 //!
-//! Tensors are `Send + Sync`: whole graphs can be built and differentiated
-//! on tp-par workers. Concurrent backward sweeps that share parameter
-//! leaves divert their leaf gradients through [`collect_grads`], whose
-//! thread-local sink keeps the shared grad slots race-free; the trainer
-//! then folds per-design gradients in a fixed block order, so parallel
-//! training stays bit-identical at any thread count.
+//! Tensors are `Send + Sync`, so one model's parameters can serve
+//! forwards on several threads at once. A backward sweep accumulates leaf
+//! gradients into each leaf's own grad slot; the dense kernels inside it
+//! split rows across tp-par workers and stay bit-identical at any thread
+//! count.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -54,7 +53,7 @@ mod tensor;
 pub mod ops;
 pub mod pool;
 
-pub use autograd::{collect_grads, grad_enabled, no_grad};
+pub use autograd::{grad_enabled, no_grad};
 pub use error::TensorError;
 pub use init::xavier_uniform;
 pub use shape::Shape;

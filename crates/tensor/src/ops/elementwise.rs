@@ -289,6 +289,46 @@ mod tests {
         assert_eq!(b.grad().unwrap(), vec![13.0, -2.75, -4.5]);
     }
 
+    /// `sub` is crate-private, and its one caller, `mse`, passes same-shape
+    /// operands, so its broadcast paths are checked here against central
+    /// finite differences of a nonlinear, position-weighted loss.
+    #[test]
+    fn sub_grads_match_finite_differences() {
+        const H: f32 = 1e-2;
+        let finite_diff = |x: &[f32], f: &dyn Fn(&[f32]) -> f32| -> Vec<f32> {
+            (0..x.len())
+                .map(|i| {
+                    let (mut plus, mut minus) = (x.to_vec(), x.to_vec());
+                    plus[i] += H;
+                    minus[i] -= H;
+                    (f(&plus) - f(&minus)) / (2.0 * H)
+                })
+                .collect()
+        };
+        let w = t(&[1.0, -2.0, 0.5, 3.0, -1.5, 0.25], &[3, 2]);
+        let a = [0.7, -1.3, 0.4, 2.1, -0.6, 1.5];
+        let same = [0.9, -0.2, 0.1, 1.1, -0.8, 0.3];
+        for (b, b_shape) in [
+            (&same[..], &[3, 2][..]),
+            (&[0.9, -0.2], &[2]),
+            (&[0.3], &[1]),
+        ] {
+            let loss = |a: &Tensor, b: &Tensor| a.sub(b).square().mul(&w).sum();
+            let (at, bt) = (t(&a, &[3, 2]).with_grad(), t(b, b_shape).with_grad());
+            loss(&at, &bt).backward();
+            let fd_a = finite_diff(&a, &|a| loss(&t(a, &[3, 2]), &t(b, b_shape)).item());
+            let fd_b = finite_diff(b, &|b| loss(&t(&a, &[3, 2]), &t(b, b_shape)).item());
+            for (got, want) in [(at.grad().unwrap(), fd_a), (bt.grad().unwrap(), fd_b)] {
+                for (g, f) in got.iter().zip(&want) {
+                    assert!(
+                        (g - f).abs() < 2e-2 * f.abs().max(1.0),
+                        "{got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn relu_grad_zero_below() {
         let a = t(&[-1.0, 2.0], &[2]).with_grad();

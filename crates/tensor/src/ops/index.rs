@@ -173,8 +173,8 @@ impl Tensor {
     /// Segment max: `out[s, :] = max_{i : segments[i] == s} self[i, :]`.
     ///
     /// Empty segments yield zero. The gradient flows only to the arg-max row
-    /// of each (segment, column) pair, matching scatter-max semantics in
-    /// graph learning frameworks. Without a tape no arg-max is kept; with
+    /// of each (segment, column) pair, the first such row on a tie,
+    /// matching scatter-max semantics in graph learning frameworks. Without a tape no arg-max is kept; with
     /// one it is stored as `u32` row ids.
     ///
     /// # Panics

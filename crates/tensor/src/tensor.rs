@@ -9,9 +9,8 @@ use tp_rng::Rng;
 use crate::{Shape, TensorError};
 
 /// Process-wide id source. Ids must be unique *across* threads because the
-/// backward sweep's visited set and the parallel-training gradient sink are
-/// both keyed by id, and a graph built on a worker may reference leaves
-/// created on the main thread.
+/// backward sweep's visited set is keyed by id, and a graph built on a
+/// worker may reference leaves created on the main thread.
 static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 fn next_id() -> u64 {
@@ -57,11 +56,9 @@ pub(crate) struct Inner {
 /// A dense `f32` tensor participating in a dynamic autograd graph.
 ///
 /// `Tensor` is a cheap reference-counted handle (`Arc`); cloning shares
-/// storage and gradient. The handle is `Send + Sync`, so forward/backward
-/// graphs can be evaluated on tp-par workers — shared-leaf gradient
-/// accumulation during parallel training goes through the thread-local
-/// sink installed by [`crate::collect_grads`], never through a shared
-/// slot. See the [crate docs](crate) for an overview and example.
+/// storage and gradient. The handle is `Send + Sync`, so one model's
+/// parameters can serve forwards on several threads at once. See the
+/// [crate docs](crate) for an overview and example.
 #[derive(Clone)]
 pub struct Tensor {
     pub(crate) inner: Arc<Inner>,
@@ -286,12 +283,6 @@ impl Tensor {
 
     pub(crate) fn accumulate_grad(&self, g: &[f32]) {
         debug_assert_eq!(g.len(), self.numel(), "gradient length mismatch");
-        // Under a gradient sink (parallel per-design training) registered
-        // leaves divert into thread-local storage so concurrent backward
-        // sweeps never touch the shared slot.
-        if crate::autograd::sink_accumulate(self.inner.id, g) {
-            return;
-        }
         let mut slot = lock_recover(&self.inner.grad);
         match slot.as_mut() {
             Some(existing) => {

@@ -7,6 +7,7 @@
 //! compare against `(L(x+h) - L(x-h)) / 2h` per coordinate.
 
 use tp_rng::{prop, Rng, StdRng};
+use tp_tensor::ops::elementwise::mask_rows;
 use tp_tensor::Tensor;
 
 const H: f32 = 1e-2;
@@ -53,6 +54,28 @@ fn vals(rng: &mut StdRng, n: usize) -> Vec<f32> {
 /// Values bounded away from zero, for ops with kinks or singularities there.
 fn vals_nonzero(rng: &mut StdRng, n: usize) -> Vec<f32> {
     prop::vec_f32(rng, n, 0.3, 2.0)
+}
+
+/// Values with magnitude in [0.3, 2) and a random sign: every input stays
+/// on one side of a kink at 0 under an `H`-sized nudge.
+fn vals_signed_nonzero(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    let mut v = vals_nonzero(rng, n);
+    for x in &mut v {
+        if rng.gen_range(0..2u32) == 0 {
+            *x = -*x;
+        }
+    }
+    v
+}
+
+fn tensor(data: Vec<f32>, shape: &[usize]) -> Tensor {
+    Tensor::from_vec(data, shape).unwrap()
+}
+
+/// `Σ y² ⊙ w`: nonlinear, and each output position weighted differently,
+/// so a gradient routed to the wrong row or column shows.
+fn weighted_square(y: &Tensor, w: &Tensor) -> Tensor {
+    y.square().mul(w).sum()
 }
 
 #[test]
@@ -188,6 +211,123 @@ fn grad_mse() {
         let t = Tensor::from_slice(&[0.1, -0.2, 0.3, -0.4]);
         check_op(vals(rng, 4), &[4], move |x| x.mse(&t));
     });
+}
+
+#[test]
+fn grad_mse_target() {
+    prop::check("grad_mse_target", CASES, |rng| {
+        let p = tensor(vals(rng, 4), &[4]);
+        check_op(vals(rng, 4), &[4], move |t| p.mse(t));
+    });
+}
+
+#[test]
+fn grad_relu() {
+    prop::check("grad_relu", CASES, |rng| {
+        let w = tensor(vals(rng, 8), &[2, 4]);
+        check_op(vals_signed_nonzero(rng, 8), &[2, 4], move |x| {
+            x.relu().mul(&w).sum()
+        });
+    });
+}
+
+#[test]
+fn grad_add_broadcasts() {
+    prop::check("grad_add_broadcasts", CASES, |rng| {
+        let w = tensor(vals(rng, 6), &[3, 2]);
+        let a = tensor(vals(rng, 6), &[3, 2]);
+        let (row, scalar) = (tensor(vals(rng, 2), &[2]), tensor(vals(rng, 1), &[1]));
+        check_op(vals(rng, 6), &[3, 2], |x| weighted_square(&x.add(&row), &w));
+        check_op(vals(rng, 2), &[2], |r| weighted_square(&a.add(r), &w));
+        check_op(vals(rng, 6), &[3, 2], |x| {
+            weighted_square(&x.add(&scalar), &w)
+        });
+        check_op(vals(rng, 1), &[1], |s| weighted_square(&a.add(s), &w));
+    });
+}
+
+#[test]
+fn grad_concat_rows() {
+    prop::check("grad_concat_rows", CASES, |rng| {
+        let w = tensor(vals(rng, 10), &[5, 2]);
+        let other = tensor(vals(rng, 4), &[2, 2]);
+        check_op(vals(rng, 6), &[3, 2], |x| {
+            weighted_square(&Tensor::concat_rows(&[x, &other]), &w)
+        });
+        check_op(vals(rng, 6), &[3, 2], |x| {
+            weighted_square(&Tensor::concat_rows(&[&other, x]), &w)
+        });
+    });
+}
+
+#[test]
+fn grad_scatter_rows() {
+    prop::check("grad_scatter_rows", CASES, |rng| {
+        let w = tensor(vals(rng, 8), &[4, 2]);
+        let index = prop::vec_index(rng, 3, 4);
+        check_op(vals(rng, 6), &[3, 2], |x| {
+            weighted_square(&x.scatter_rows(&index, 4), &w)
+        });
+    });
+}
+
+#[test]
+fn grad_assemble_rows() {
+    prop::check("grad_assemble_rows", CASES, |rng| {
+        let w = tensor(vals(rng, 12), &[6, 2]);
+        let index = prop::vec_index(rng, 6, 5);
+        let (a, b) = (tensor(vals(rng, 4), &[2, 2]), tensor(vals(rng, 6), &[3, 2]));
+        check_op(vals(rng, 4), &[2, 2], |x| {
+            weighted_square(&Tensor::assemble_rows(&[x, &b], &index), &w)
+        });
+        check_op(vals(rng, 6), &[3, 2], |x| {
+            weighted_square(&Tensor::assemble_rows(&[&a, x], &index), &w)
+        });
+    });
+}
+
+#[test]
+fn grad_mask_rows() {
+    prop::check("grad_mask_rows", CASES, |rng| {
+        let w = tensor(vals(rng, 6), &[3, 2]);
+        let mask = [1.0, 0.0, rng.gen_range(-1.0f32..1.0)];
+        check_op(vals(rng, 6), &[3, 2], |x| {
+            weighted_square(&mask_rows(x, &mask), &w)
+        });
+    });
+}
+
+/// Distinct inputs 0.1 apart, shuffled: no (segment, column) has a tie, and
+/// an `H`-sized nudge never changes which row is the maximum.
+#[test]
+fn grad_segment_max_tie_free() {
+    prop::check("grad_segment_max_tie_free", CASES, |rng| {
+        let mut v: Vec<f32> = (0..12).map(|i| i as f32 * 0.1 - 0.6).collect();
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i as u64) as usize);
+        }
+        let segments = prop::vec_index(rng, 6, 3);
+        let w = tensor(vals(rng, 6), &[3, 2]);
+        check_op(v, &[6, 2], |x| {
+            weighted_square(&x.segment_max(&segments, 3), &w)
+        });
+    });
+}
+
+/// On a tie the whole gradient reaches the first row holding the maximum.
+#[test]
+fn segment_max_tie_sends_gradient_to_the_first_row() {
+    let x = tensor(vec![1.0, 5.0, 3.0, 5.0, 3.0, 2.0, 4.0, 4.0], &[4, 2]).with_grad();
+    let y = x.segment_max(&[0, 0, 0, 1], 2);
+    assert_eq!(y.to_vec(), vec![3.0, 5.0, 4.0, 4.0]);
+    y.mul(&tensor(vec![2.0, 3.0, 5.0, 7.0], &[2, 2]))
+        .sum()
+        .backward();
+    // Column 0 ties rows 1 and 2 at 3; column 1 ties rows 0 and 1 at 5.
+    assert_eq!(
+        x.grad().unwrap(),
+        vec![0.0, 3.0, 2.0, 0.0, 0.0, 0.0, 5.0, 7.0]
+    );
 }
 
 #[test]

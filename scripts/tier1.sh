@@ -94,6 +94,11 @@ rm -rf "$SERVE_SWEEP_SCRATCH"
 step "clippy (warnings are errors)"
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+step "rustdoc (warnings are errors: every doc link resolves)"
+# Deleting an item a doc comment links to compiles fine; only rustdoc
+# reports the dangling link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 step "hermeticity (no external crates in any manifest)"
 if grep -rn 'rand\|proptest\|criterion' Cargo.toml crates/*/Cargo.toml; then
     echo "tier1: FAIL — external dependency reference found above" >&2
@@ -136,9 +141,9 @@ if grep -rnE 'target_feature.*fma|_fmadd' crates/tensor/src; then
 fi
 
 step "autograd tape stays Arc-based (no Rc in the tape)"
-# The tape must remain Send + Sync so per-design gradients can evaluate on
-# pool workers. An Rc sneaking back into the tensor core would compile fine
-# single-threaded and then poison every parallel training path.
+# Tensors must remain Send + Sync: tp-serve's connection threads and the
+# sweep's prediction evaluator share one model across threads. An Rc in
+# the tape would make every tensor !Send; this grep names the cause.
 if grep -n 'Rc<' crates/tensor/src/tensor.rs crates/tensor/src/autograd.rs; then
     echo "tier1: FAIL — Rc found in the autograd tape; it must stay Arc" >&2
     exit 1

@@ -8,8 +8,7 @@
 use timing_predict::data::{Dataset, DatasetConfig};
 use timing_predict::gen::GeneratorConfig;
 use timing_predict::gnn::{
-    CheckpointPolicy, EpochStats, FitOptions, ModelConfig, Prediction, TimingGnn, TrainConfig,
-    Trainer,
+    EpochStats, FaultPlan, FitOptions, ModelConfig, Prediction, TimingGnn, TrainConfig, Trainer,
 };
 use timing_predict::liberty::Library;
 use timing_predict::rng::seed_from_env;
@@ -115,7 +114,7 @@ fn kill_and_resume_is_bit_identical() {
     let full = reference.fit_with(
         &dataset,
         &FitOptions {
-            checkpoint: Some(CheckpointPolicy::every_epoch(&dir)),
+            checkpoint_dir: Some(dir.clone()),
             ..FitOptions::default()
         },
     );
@@ -255,7 +254,7 @@ fn thread_count_is_bit_identical() {
         let report = trainer.fit_with(
             &dataset,
             &FitOptions {
-                checkpoint: Some(CheckpointPolicy::every_epoch(ckpt_dir)),
+                checkpoint_dir: Some(ckpt_dir.to_path_buf()),
                 ..FitOptions::default()
             },
         );
@@ -333,11 +332,10 @@ fn thread_count_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// The parallel per-design gradient path (`design_batch` ≥ 2) must honor
-/// the same contract as everything else: worker gradients land in
-/// per-thread sinks and fold in fixed block order, so the whole batched
-/// training trajectory — losses, predictions, checkpoint bytes — is
-/// bit-identical whether the batch evaluates on 1 thread or 4.
+/// The guarded per-design step honors the same contract when the
+/// divergence guard fires: with NaN gradients injected at two steps, the
+/// rollbacks, backoffs and the whole training trajectory — losses,
+/// predictions, checkpoint bytes — are bit-identical on 1 thread and on 4.
 #[test]
 fn batched_training_is_bit_identical_across_thread_counts() {
     let signature = |threads: usize, ckpt_dir: &std::path::Path| -> (Vec<u32>, Vec<u8>) {
@@ -365,19 +363,22 @@ fn batched_training_is_bit_identical_across_thread_counts() {
             }),
             TrainConfig {
                 epochs: 2,
-                design_batch: 4,
                 ..Default::default()
             },
         );
         let report = trainer.fit_with(
             &dataset,
             &FitOptions {
-                checkpoint: Some(CheckpointPolicy::every_epoch(ckpt_dir)),
-                ..FitOptions::default()
+                checkpoint_dir: Some(ckpt_dir.to_path_buf()),
+                faults: FaultPlan::nan_grad_at([1, 4]),
             },
         );
+        assert_eq!(report.epochs.iter().map(|e| e.rollbacks).sum::<usize>(), 2);
         let pred = trainer.predict(dataset.designs().first().expect("non-empty suite"));
         let mut bits: Vec<u32> = report.epochs.iter().map(|e| e.total.to_bits()).collect();
+        for d in &report.divergences {
+            bits.extend([d.lr_before.to_bits(), d.lr_after.to_bits()]);
+        }
         for t in [&pred.arrival, &pred.slew, &pred.net_delay] {
             bits.extend(t.to_vec().iter().map(|v| v.to_bits()));
         }
@@ -402,8 +403,8 @@ fn batched_training_is_bit_identical_across_thread_counts() {
     let (bits4, ckpt4) = signature(4, &scratch.join("t4"));
 
     assert!(bits1.len() > 100, "signature too small: {}", bits1.len());
-    assert_eq!(bits1, bits4, "batched gradients changed float bits");
-    assert_eq!(ckpt1, ckpt4, "batched gradients changed checkpoint bytes");
+    assert_eq!(bits1, bits4, "guarded training changed float bits");
+    assert_eq!(ckpt1, ckpt4, "guarded training changed checkpoint bytes");
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -17,8 +17,8 @@ use timing_predict::data::{Dataset, DatasetConfig};
 use timing_predict::gen::GeneratorConfig;
 use timing_predict::gnn::checkpoint::{checkpoint_path, list_checkpoints};
 use timing_predict::gnn::{
-    Checkpoint, CheckpointError, CheckpointPolicy, FaultInjector, FaultPlan, FitOptions,
-    ModelConfig, Prediction, TimingGnn, TrainConfig, TrainReport, Trainer,
+    Checkpoint, CheckpointError, FaultInjector, FaultPlan, FitOptions, ModelConfig, Prediction,
+    TimingGnn, TrainConfig, TrainReport, Trainer,
 };
 use timing_predict::liberty::Library;
 use timing_predict::rng::seed_from_env;
@@ -84,7 +84,7 @@ fn resume_after_kill_is_bit_identical() {
     // Reference: an uninterrupted run, checkpointing every epoch.
     let mut reference = trainer(seed);
     let options = FitOptions {
-        checkpoint: Some(CheckpointPolicy::every_epoch(&dir)),
+        checkpoint_dir: Some(dir.clone()),
         ..FitOptions::default()
     };
     let full = reference.fit_with(&data, &options);
@@ -135,7 +135,7 @@ fn corrupted_checkpoints_are_rejected_and_recovery_falls_back() {
     let _ = t.fit_with(
         &data,
         &FitOptions {
-            checkpoint: Some(CheckpointPolicy::every_epoch(&dir)),
+            checkpoint_dir: Some(dir.clone()),
             ..FitOptions::default()
         },
     );

@@ -19,7 +19,7 @@ use timing_predict::place::{place_circuit, PlacementConfig};
 use timing_predict::rng::{prop, Rng};
 use timing_predict::sta::flow::run_full_flow;
 use timing_predict::sta::{StaConfig, StaEngine, TimingReport};
-use timing_predict::tensor::{collect_grads, no_grad, Tensor};
+use timing_predict::tensor::{no_grad, Tensor};
 
 /// `set_partition_nodes` / `set_threads` are process-wide; the tests in
 /// this binary run on multiple threads and must not see each other's
@@ -76,19 +76,17 @@ fn inference_bits(model: &TimingGnn, design: &DesignGraph, plan: &PropPlan) -> V
 /// Training step outputs: loss bits plus every parameter gradient's bits.
 fn training_bits(model: &TimingGnn, design: &DesignGraph, plan: &PropPlan) -> Vec<u32> {
     let params = model.parameters();
+    params.iter().for_each(Tensor::zero_grad);
     let target = Tensor::concat_cols(&[&design.arrival, &design.slew]);
-    let (loss, grads) = collect_grads(&params, || {
-        let pred = model.forward(design, plan);
-        let atslew = Tensor::concat_cols(&[&pred.arrival, &pred.slew]);
-        let mut loss = atslew.mse(&target);
-        if pred.cell_delay.shape()[0] > 0 {
-            loss = loss.add(&pred.cell_delay.square().mean());
-        }
-        loss.backward();
-        loss.item()
-    });
-    let mut bits = vec![loss.to_bits()];
-    for g in grads.into_iter().flatten() {
+    let pred = model.forward(design, plan);
+    let atslew = Tensor::concat_cols(&[&pred.arrival, &pred.slew]);
+    let mut loss = atslew.mse(&target);
+    if pred.cell_delay.shape()[0] > 0 {
+        loss = loss.add(&pred.cell_delay.square().mean());
+    }
+    loss.backward();
+    let mut bits = vec![loss.item().to_bits()];
+    for g in params.iter().filter_map(Tensor::grad) {
         bits.extend(g.iter().map(|v| v.to_bits()));
     }
     bits
@@ -255,7 +253,7 @@ fn degenerate_graphs_stream_bit_identically() {
 #[test]
 fn partitioned_training_checkpoints_match_monolithic() {
     use timing_predict::data::{Dataset, DatasetConfig};
-    use timing_predict::gnn::{CheckpointPolicy, FitOptions, TrainConfig, Trainer};
+    use timing_predict::gnn::{FitOptions, TrainConfig, Trainer};
 
     let _k = knob_lock();
     let run = |budget: usize, dir: &std::path::Path| -> (Vec<u32>, Vec<u8>) {
@@ -292,7 +290,7 @@ fn partitioned_training_checkpoints_match_monolithic() {
         let report = trainer.fit_with(
             &dataset,
             &FitOptions {
-                checkpoint: Some(CheckpointPolicy::every_epoch(dir)),
+                checkpoint_dir: Some(dir.to_path_buf()),
                 ..FitOptions::default()
             },
         );

@@ -15,9 +15,7 @@
 
 use std::time::Instant;
 
-use timing_predict::data::{Dataset, DatasetConfig};
 use timing_predict::gen::{generate, BenchmarkSpec, GeneratorConfig};
-use timing_predict::gnn::{ModelConfig, TimingGnn, TrainConfig, Trainer};
 use timing_predict::liberty::Library;
 use timing_predict::place::{place_circuit, PlacementConfig};
 use timing_predict::sta::flow::run_full_flow;
@@ -67,54 +65,14 @@ fn four_threads_beat_one_where_cost_model_predicts_win() {
         t
     };
 
-    // Train workload: batched per-design gradients, the new parallel path.
-    let dataset = Dataset::build_suite(
-        &library,
-        &DatasetConfig {
-            generator: GeneratorConfig {
-                scale: 0.002,
-                seed: 4,
-                depth: Some(6),
-            },
-            ..Default::default()
-        },
-    );
-    let train_at = |threads: usize| {
-        timing_predict::par::set_threads(threads);
-        let t = time_median(3, || {
-            let mut trainer = Trainer::new(
-                TimingGnn::new(&ModelConfig {
-                    embed_dim: 4,
-                    prop_dim: 6,
-                    hidden: vec![8],
-                    seed: 2,
-                    ablation: Default::default(),
-                }),
-                TrainConfig {
-                    epochs: 2,
-                    design_batch: 0, // full batch: maximum parallel grads
-                    ..Default::default()
-                },
-            );
-            trainer.fit(&dataset);
-        });
-        timing_predict::par::set_threads(0);
-        t
-    };
-
     let sta1 = sta_at(1);
     let sta4 = sta_at(4);
-    let train1 = train_at(1);
-    let train4 = train_at(4);
     eprintln!(
-        "hardware_threads={} sta: 1t={:.4}s 4t={:.4}s ({:.2}x) | train: 1t={:.4}s 4t={:.4}s ({:.2}x)",
+        "hardware_threads={} sta: 1t={:.4}s 4t={:.4}s ({:.2}x)",
         timing_predict::par::hardware_threads(),
         sta1,
         sta4,
         sta1 / sta4,
-        train1,
-        train4,
-        train1 / train4,
     );
 
     if timing_predict::par::hardware_threads() >= 2 {
@@ -123,10 +81,6 @@ fn four_threads_beat_one_where_cost_model_predicts_win() {
         assert!(
             sta4 < sta1,
             "4-thread STA should beat 1-thread: {sta4:.4}s vs {sta1:.4}s"
-        );
-        assert!(
-            train4 < train1,
-            "4-thread training should beat 1-thread: {train4:.4}s vs {train1:.4}s"
         );
     } else {
         // 1-core machine: no win is possible, and the model must know it.
@@ -143,10 +97,6 @@ fn four_threads_beat_one_where_cost_model_predicts_win() {
         assert!(
             sta4 < sta1 * 1.35,
             "4-thread STA regressed on 1 core: {sta4:.4}s vs {sta1:.4}s"
-        );
-        assert!(
-            train4 < train1 * 1.35,
-            "4-thread training regressed on 1 core: {train4:.4}s vs {train1:.4}s"
         );
     }
 }
