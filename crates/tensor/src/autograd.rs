@@ -67,8 +67,16 @@ impl Tensor {
     /// topological order, accumulating gradients into leaves created with
     /// [`Tensor::with_grad`].
     ///
-    /// Calling `backward` twice without [`Tensor::zero_grad`] accumulates
-    /// gradients, matching PyTorch semantics.
+    /// Each interior node's gradient is taken out of its slot when that
+    /// node's backward runs and freed after it, so after the sweep only
+    /// leaves hold a [`Tensor::grad`]. Calling `backward` twice without
+    /// [`Tensor::zero_grad`] accumulates leaf gradients, matching PyTorch
+    /// semantics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand that some op's backward reads (see
+    /// [`Tensor::data_mut`]) was written in place after that op's forward.
     ///
     /// # Example
     ///
@@ -85,17 +93,19 @@ impl Tensor {
         }
         let order = self.topo_order();
         // Gradients accumulate across backward calls on *leaves* only;
-        // interior nodes start each sweep fresh.
+        // interior nodes start each sweep fresh, even after a sweep that
+        // panicked half way.
         for node in &order {
             if node.inner.backward.is_some() {
                 node.zero_grad();
             }
         }
-        self.accumulate_grad(&vec![1.0; self.numel()]);
+        self.accumulate_grad(vec![1.0; self.numel()]);
         for node in order.iter().rev() {
-            let grad = node.grad();
-            if let (Some(g), Some(back)) = (grad, node.inner.backward.as_ref()) {
-                back(&g);
+            if let Some(back) = node.inner.backward.as_ref() {
+                if let Some(g) = node.take_grad() {
+                    back(&g, &node.data());
+                }
             }
         }
     }
@@ -136,6 +146,9 @@ fn assert_tape_is_send_sync() {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use crate::tensor::IN_PLACE_WRITE;
     use crate::Tensor;
 
     #[test]
@@ -171,7 +184,75 @@ mod tests {
         let x = Tensor::from_slice(&[2.0]).with_grad();
         let y = x.mul(&x);
         y.backward();
+        assert_eq!(x.grad().unwrap(), vec![4.0]);
+        // The leaf accumulates over the second sweep; the root, an
+        // interior node, keeps no gradient after either.
+        assert!(y.grad().is_none());
         y.backward();
         assert_eq!(x.grad().unwrap(), vec![8.0]);
+        assert!(y.grad().is_none());
+    }
+
+    /// After a sweep only leaves hold gradients: every op's output frees
+    /// its gradient once its own backward has run.
+    #[test]
+    fn backward_releases_every_interior_gradient() {
+        let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, -0.5, 1.0], &[3, 2])
+            .unwrap()
+            .with_grad();
+        let w = Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[2, 2])
+            .unwrap()
+            .with_grad();
+        let b = Tensor::from_slice(&[0.25, -0.5]).with_grad();
+        let h = x.linear_relu(&w, &b);
+        let p = h.matmul(&w);
+        let pm = p.mul(&x);
+        let q = pm.add(&h);
+        let e = q.square();
+        let g = e.gather_rows(&[2, 0, 0]);
+        let s = g.segment_sum(&[1, 0, 1], 2);
+        let m = g.segment_max(&[0, 0, 1], 2);
+        let c = Tensor::concat_cols(&[&s, &m]);
+        let n = c.narrow_cols(1, 2);
+        let o = n.outer_flatten(&s);
+        let r = o.sum_axis1();
+        let loss = r.sum();
+        loss.backward();
+        for t in [&h, &p, &pm, &q, &e, &g, &s, &m, &c, &n, &o, &r, &loss] {
+            assert!(t.grad().is_none(), "interior gradient kept: {t:?}");
+        }
+        for t in [&x, &w, &b] {
+            assert!(t.grad().is_some(), "leaf gradient missing: {t:?}");
+        }
+    }
+
+    /// Every op whose backward reads an operand live panics at backward
+    /// when that operand was written in place after the forward, instead
+    /// of differentiating the new data.
+    #[test]
+    fn in_place_write_between_forward_and_backward_panics() {
+        type Op = fn(&Tensor, &Tensor, &Tensor) -> Tensor;
+        let cases: [(&str, Op, usize); 7] = [
+            ("linear, x written", |x, w, b| x.linear(w, b), 0),
+            ("linear_relu, W written", |x, w, b| x.linear_relu(w, b), 1),
+            ("matmul, lhs written", |x, w, _| x.matmul(w), 0),
+            ("mul, lhs written", |x, w, _| x.mul(w), 0),
+            ("mul, rhs written", |x, w, _| x.mul(w), 1),
+            ("outer_flatten, W written", |x, w, _| x.outer_flatten(w), 1),
+            ("square, input written", |x, _, _| x.square(), 0),
+        ];
+        for (name, op, written) in cases {
+            let operands = [
+                Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5], &[2, 2]).unwrap(),
+                Tensor::from_vec(vec![1.0, -2.0, 0.5, 3.0], &[2, 2]).unwrap(),
+                Tensor::from_slice(&[0.25, -0.5]),
+            ]
+            .map(Tensor::with_grad);
+            let loss = op(&operands[0], &operands[1], &operands[2]).sum();
+            operands[written].data_mut()[0] += 1.0;
+            let err = catch_unwind(AssertUnwindSafe(|| loss.backward())).expect_err(name);
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert_eq!(msg, IN_PLACE_WRITE, "{name}");
+        }
     }
 }

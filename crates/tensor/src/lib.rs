@@ -9,8 +9,17 @@
 //! A [`Tensor`] is a cheaply clonable handle (`Arc`) to a node in a dynamic
 //! computation graph. Every differentiable operation records its parents and
 //! a backward closure; [`Tensor::backward`] runs a reverse topological sweep
-//! and accumulates gradients into every reachable node that
+//! and accumulates gradients into every reachable leaf that
 //! [requires gradients](Tensor::requires_grad).
+//!
+//! The tape holds each activation once. A backward closure reads its
+//! operands live from the parent tensors and its own output from the node,
+//! never from copies taken at forward time, and the sweep frees each
+//! interior node's gradient as soon as that node's backward has run, so
+//! only leaves keep a [`Tensor::grad`]. Reading live is safe because every
+//! [`Tensor::data_mut`] bumps the tensor's version: writing an operand in
+//! place between an op's forward and the backward makes the backward
+//! panic instead of differentiating the new data.
 //!
 //! Beyond the usual dense ops (matmul, elementwise math, reductions) the
 //! crate provides the *graph* primitives the paper's model is built from:

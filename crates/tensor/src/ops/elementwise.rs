@@ -6,7 +6,9 @@
 //! 2. `[N, D] ∘ [D]` — the right operand broadcasts across rows (bias add),
 //! 3. `anything ∘ [1]` — the right operand is a scalar tensor.
 
-use crate::tensor::BackwardFn;
+use std::borrow::Cow;
+
+use crate::tensor::{BackwardFn, Saved};
 use crate::Tensor;
 
 /// How the right-hand operand lines up against the left.
@@ -33,11 +35,13 @@ fn broadcast_mode(lhs: &Tensor, rhs: &Tensor) -> Broadcast {
     }
 }
 
-/// Reduces a full-size gradient back onto a broadcast operand.
-fn reduce_to(mode: Broadcast, grad: &[f32], cols: usize) -> Vec<f32> {
+/// Reduces a full-size gradient back onto a broadcast operand; a
+/// same-shape operand gets `grad` itself.
+fn reduce_to<'a>(mode: Broadcast, grad: impl Into<Cow<'a, [f32]>>, cols: usize) -> Cow<'a, [f32]> {
+    let grad = grad.into();
     match mode {
-        Broadcast::Same => grad.to_vec(),
-        Broadcast::Scalar => vec![grad.iter().sum()],
+        Broadcast::Same => grad,
+        Broadcast::Scalar => Cow::Owned(vec![grad.iter().sum()]),
         Broadcast::RowVector => {
             let mut out = vec![0.0; cols];
             for chunk in grad.chunks(cols) {
@@ -45,7 +49,7 @@ fn reduce_to(mode: Broadcast, grad: &[f32], cols: usize) -> Vec<f32> {
                     *o += g;
                 }
             }
-            out
+            Cow::Owned(out)
         }
     }
 }
@@ -66,17 +70,21 @@ pub(crate) fn bias_grad(grad: &[f32], n: usize) -> Vec<f32> {
     } else {
         Broadcast::RowVector
     };
-    reduce_to(mode, grad, n)
+    reduce_to(mode, grad, n).into_owned()
 }
 
 impl Tensor {
+    /// `fwd` applied elementwise under broadcasting; `make_backward`
+    /// builds the backward from the broadcast mode, the row width and
+    /// both operands.
     fn binary_op(
         &self,
         rhs: &Tensor,
         fwd: impl Fn(f32, f32) -> f32,
-        make_backward: impl FnOnce(Broadcast, usize, Tensor, Tensor) -> BackwardFn,
+        make_backward: impl FnOnce(Broadcast, usize, Saved, Saved) -> BackwardFn,
     ) -> Tensor {
         let mode = broadcast_mode(self, rhs);
+        let (lhs_s, rhs_s) = (self.save(), rhs.save());
         let cols = if self.rank() == 2 { self.shape()[1] } else { self.numel() };
         let ld = self.data();
         let rd = rhs.data();
@@ -93,7 +101,7 @@ impl Tensor {
         drop(ld);
         drop(rd);
         let shape = self.shape_obj().clone();
-        let backward = make_backward(mode, cols, self.clone(), rhs.clone());
+        let backward = make_backward(mode, cols, lhs_s, rhs_s);
         Tensor::from_op(out, shape, vec![self.clone(), rhs.clone()], backward)
     }
 
@@ -105,12 +113,12 @@ impl Tensor {
     /// Panics if the shapes are incompatible (see module docs).
     pub fn add(&self, rhs: &Tensor) -> Tensor {
         self.binary_op(rhs, |a, b| a + b, |mode, cols, lhs, rhs| {
-            Box::new(move |g: &[f32]| {
-                if lhs.requires_grad() {
-                    lhs.accumulate_grad(g);
+            Box::new(move |g: &[f32], _| {
+                if lhs.tensor.requires_grad() {
+                    lhs.tensor.accumulate_grad(g);
                 }
-                if rhs.requires_grad() {
-                    rhs.accumulate_grad(&reduce_to(mode, g, cols));
+                if rhs.tensor.requires_grad() {
+                    rhs.tensor.accumulate_grad(reduce_to(mode, g, cols));
                 }
             })
         })
@@ -123,13 +131,13 @@ impl Tensor {
     /// Panics if the shapes are incompatible.
     pub(crate) fn sub(&self, rhs: &Tensor) -> Tensor {
         self.binary_op(rhs, |a, b| a - b, |mode, cols, lhs, rhs| {
-            Box::new(move |g: &[f32]| {
-                if lhs.requires_grad() {
-                    lhs.accumulate_grad(g);
+            Box::new(move |g: &[f32], _| {
+                if lhs.tensor.requires_grad() {
+                    lhs.tensor.accumulate_grad(g);
                 }
-                if rhs.requires_grad() {
+                if rhs.tensor.requires_grad() {
                     let neg: Vec<f32> = g.iter().map(|x| -x).collect();
-                    rhs.accumulate_grad(&reduce_to(mode, &neg, cols));
+                    rhs.tensor.accumulate_grad(reduce_to(mode, neg, cols));
                 }
             })
         })
@@ -143,9 +151,9 @@ impl Tensor {
     /// Panics if the shapes are incompatible.
     pub fn mul(&self, rhs: &Tensor) -> Tensor {
         self.binary_op(rhs, |a, b| a * b, |mode, cols, lhs, rhs| {
-            Box::new(move |g: &[f32]| {
-                if lhs.requires_grad() {
-                    let rd = rhs.data();
+            Box::new(move |g: &[f32], _| {
+                if lhs.tensor.requires_grad() {
+                    let rd = rhs.read();
                     let gl: Vec<f32> = match mode {
                         Broadcast::Same => g.iter().zip(rd.iter()).map(|(&g, &b)| g * b).collect(),
                         Broadcast::Scalar => g.iter().map(|&g| g * rd[0]).collect(),
@@ -154,35 +162,38 @@ impl Tensor {
                             .collect(),
                     };
                     drop(rd);
-                    lhs.accumulate_grad(&gl);
+                    lhs.tensor.accumulate_grad(gl);
                 }
-                if rhs.requires_grad() {
-                    let ld = lhs.data();
+                if rhs.tensor.requires_grad() {
+                    let ld = lhs.read();
                     let gr: Vec<f32> = g.iter().zip(ld.iter()).map(|(&g, &a)| g * a).collect();
                     drop(ld);
-                    rhs.accumulate_grad(&reduce_to(mode, &gr, cols));
+                    rhs.tensor.accumulate_grad(reduce_to(mode, gr, cols));
                 }
             })
         })
     }
 
+    /// `fwd` applied elementwise; the backward scales the incoming
+    /// gradient by `dfdx(x, y)`, reading the input `x` live and the
+    /// output `y` from the node.
     fn unary_op(
         &self,
         fwd: impl Fn(f32) -> f32,
         dfdx: impl Fn(f32, f32) -> f32 + Send + Sync + 'static,
     ) -> Tensor {
-        let input = self.to_vec();
-        let out: Vec<f32> = input.iter().map(|&x| fwd(x)).collect();
-        let out_snapshot = out.clone();
-        let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
-            if src.requires_grad() {
+        let src = self.save();
+        let out: Vec<f32> = self.data().iter().map(|&x| fwd(x)).collect();
+        let backward: BackwardFn = Box::new(move |g: &[f32], y: &[f32]| {
+            if src.tensor.requires_grad() {
+                let x = src.read();
                 let gl: Vec<f32> = g
                     .iter()
-                    .zip(input.iter().zip(out_snapshot.iter()))
+                    .zip(x.iter().zip(y))
                     .map(|(&g, (&x, &y))| g * dfdx(x, y))
                     .collect();
-                src.accumulate_grad(&gl);
+                drop(x);
+                src.tensor.accumulate_grad(gl);
             }
         });
         Tensor::from_op(out, self.shape_obj().clone(), vec![self.clone()], backward)

@@ -46,7 +46,7 @@ impl Tensor {
         let rows = index.len();
         let src = self.clone();
         let idx = Arc::clone(&index);
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
                 let mut gs = vec![0.0; n * d];
                 for (r, &i) in idx.iter().enumerate() {
@@ -54,7 +54,7 @@ impl Tensor {
                         gs[i * d + j] += g[r * d + j];
                     }
                 }
-                src.accumulate_grad(&gs);
+                src.accumulate_grad(gs);
             }
         });
         Tensor::from_op(out, Shape::new(&[rows, d]), vec![self.clone()], backward)
@@ -105,7 +105,7 @@ impl Tensor {
         let offs: Arc<Vec<usize>> = Arc::new(offsets);
         let srcs: Vec<Tensor> = parts.iter().map(|&p| p.clone()).collect();
         let parents = srcs.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             // Mirror the two-op backward bit-for-bit: scatter-add in
             // ascending output-row order into zeroed per-part buffers,
             // then accumulate each part once, in parts order.
@@ -123,7 +123,7 @@ impl Tensor {
             }
             for (s, gp) in srcs.iter().zip(gparts) {
                 if let Some(gp) = gp {
-                    s.accumulate_grad(&gp);
+                    s.accumulate_grad(gp);
                 }
             }
         });
@@ -153,13 +153,13 @@ impl Tensor {
         drop(data);
         let seg: Arc<Vec<usize>> = Arc::new(segments.to_vec());
         let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
                 let mut gs = vec![0.0; e * d];
                 for (r, &s) in seg.iter().enumerate() {
                     gs[r * d..(r + 1) * d].copy_from_slice(&g[s * d..(s + 1) * d]);
                 }
-                src.accumulate_grad(&gs);
+                src.accumulate_grad(gs);
             }
         });
         Tensor::from_op(
@@ -224,7 +224,7 @@ impl Tensor {
             return Tensor::leaf(out, Shape::new(&[num_segments, d]));
         }
         let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
                 let mut gs = vec![0.0; e * d];
                 for (sj, &r) in argmax.iter().enumerate() {
@@ -233,7 +233,7 @@ impl Tensor {
                         gs[r as usize * d + j] += g[sj];
                     }
                 }
-                src.accumulate_grad(&gs);
+                src.accumulate_grad(gs);
             }
         });
         Tensor::from_op(
@@ -266,13 +266,13 @@ impl Tensor {
         drop(data);
         let idx: Arc<Vec<usize>> = Arc::new(index.to_vec());
         let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
                 let mut gs = vec![0.0; k * d];
                 for (r, &i) in idx.iter().enumerate() {
                     gs[r * d..(r + 1) * d].copy_from_slice(&g[i * d..(i + 1) * d]);
                 }
-                src.accumulate_grad(&gs);
+                src.accumulate_grad(gs);
             }
         });
         Tensor::from_op(out, Shape::new(&[n, d]), vec![self.clone()], backward)

@@ -2,7 +2,7 @@
 
 use super::elementwise::bias_grad;
 use super::gemm::gemm;
-use crate::tensor::BackwardFn;
+use crate::tensor::{BackwardFn, Saved};
 use crate::{Shape, Tensor};
 
 fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
@@ -16,25 +16,20 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 }
 
 /// Accumulates the gradients of `y = lhs·rhs` (`[m, k] × [k, n]`) from
-/// `g = dL/dy`, reading the operands' values from their forward snapshots:
-/// `dL/dlhs = g·rhsᵀ`, then `dL/drhs = lhsᵀ·g`.
-fn matmul_backward(
-    g: &[f32],
-    (lhs, lhs_snap): (&Tensor, &[f32]),
-    (rhs, rhs_snap): (&Tensor, &[f32]),
-    (m, k, n): (usize, usize, usize),
-) {
-    if lhs.requires_grad() {
-        let bt = transpose(rhs_snap, k, n);
+/// `g = dL/dy`, reading the operands live: `dL/dlhs = g·rhsᵀ`, then
+/// `dL/drhs = lhsᵀ·g`.
+fn matmul_backward(g: &[f32], lhs: &Saved, rhs: &Saved, (m, k, n): (usize, usize, usize)) {
+    if lhs.tensor.requires_grad() {
+        let bt = transpose(&rhs.read(), k, n);
         let mut ga = vec![0.0; m * k];
         gemm(g, &bt, m, n, k, &mut ga);
-        lhs.accumulate_grad(&ga);
+        lhs.tensor.accumulate_grad(ga);
     }
-    if rhs.requires_grad() {
-        let at = transpose(lhs_snap, m, k);
+    if rhs.tensor.requires_grad() {
+        let at = transpose(&lhs.read(), m, k);
         let mut gb = vec![0.0; k * n];
         gemm(&at, g, k, m, n, &mut gb);
-        rhs.accumulate_grad(&gb);
+        rhs.tensor.accumulate_grad(gb);
     }
 }
 
@@ -66,20 +61,18 @@ impl Tensor {
             self.shape_obj(),
             rhs.shape_obj()
         );
+        let (lhs_s, rhs_s) = (self.save(), rhs.save());
         let mut out = vec![0.0; m * n];
         gemm(&self.data(), &rhs.data(), m, k, n, &mut out);
-        let parents = vec![self.clone(), rhs.clone()];
-        if !Tensor::records_tape(&parents) {
-            // No tape: skip the operand snapshots only the backward reads.
-            return Tensor::leaf(out, Shape::new(&[m, n]));
-        }
-
-        let (lhs_snap, rhs_snap) = (self.to_vec(), rhs.to_vec());
-        let (lhs_t, rhs_t) = (self.clone(), rhs.clone());
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
-            matmul_backward(g, (&lhs_t, &lhs_snap), (&rhs_t, &rhs_snap), (m, k, n));
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
+            matmul_backward(g, &lhs_s, &rhs_s, (m, k, n));
         });
-        Tensor::from_op(out, Shape::new(&[m, n]), parents, backward)
+        Tensor::from_op(
+            out,
+            Shape::new(&[m, n]),
+            vec![self.clone(), rhs.clone()],
+            backward,
+        )
     }
 
     /// Dense layer `x·W + b` as one op: `self` is `x: [M, K]`, `weight` is
@@ -122,9 +115,10 @@ impl Tensor {
     /// The fused dense op. Each output element goes through the float ops
     /// of `matmul → add → relu` in the same order: the gemm sum, `+ b[j]`,
     /// then `max(0.0)`. The backward masks the incoming gradient with
-    /// `g · [y > 0]` (the relu backward's exact product; `y > 0` iff its
-    /// input was), sums the bias gradient as `add` does, and hands the
-    /// masked gradient to matmul's backward.
+    /// `g · [y > 0]` on the op's own output `y` (the relu backward's exact
+    /// product; `y > 0` iff its input was), sums the bias gradient as `add`
+    /// does, and hands the masked gradient to matmul's backward, which
+    /// reads `x` and `W` live.
     fn dense(&self, weight: &Tensor, bias: &Tensor, relu: bool) -> Tensor {
         let (m, k) = self.shape_obj().as_2d();
         let (k2, n) = weight.shape_obj().as_2d();
@@ -141,6 +135,7 @@ impl Tensor {
             "linear bias must be [{n}], got {}",
             bias.shape_obj()
         );
+        let (x, w) = (self.save(), weight.save());
         let mut out = vec![0.0; m * n];
         gemm(&self.data(), &weight.data(), m, k, n, &mut out);
         if n > 0 {
@@ -156,33 +151,30 @@ impl Tensor {
                 }
             }
         }
-        let parents = vec![self.clone(), weight.clone(), bias.clone()];
-        if !Tensor::records_tape(&parents) {
-            return Tensor::leaf(out, Shape::new(&[m, n]));
-        }
-
-        let (x_snap, w_snap) = (self.to_vec(), weight.to_vec());
-        let y_snap = relu.then(|| out.clone());
-        let (x_t, w_t, b_t) = (self.clone(), weight.clone(), bias.clone());
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let b = bias.clone();
+        let backward: BackwardFn = Box::new(move |g: &[f32], y: &[f32]| {
             let masked: Vec<f32>;
-            let g = match &y_snap {
-                Some(y) => {
-                    masked = g
-                        .iter()
-                        .zip(y)
-                        .map(|(&g, &y)| g * if y > 0.0 { 1.0 } else { 0.0 })
-                        .collect();
-                    &masked[..]
-                }
-                None => g,
+            let g = if relu {
+                masked = g
+                    .iter()
+                    .zip(y)
+                    .map(|(&g, &y)| g * if y > 0.0 { 1.0 } else { 0.0 })
+                    .collect();
+                &masked[..]
+            } else {
+                g
             };
-            if b_t.requires_grad() {
-                b_t.accumulate_grad(&bias_grad(g, n));
+            if b.requires_grad() {
+                b.accumulate_grad(bias_grad(g, n));
             }
-            matmul_backward(g, (&x_t, &x_snap), (&w_t, &w_snap), (m, k, n));
+            matmul_backward(g, &x, &w, (m, k, n));
         });
-        Tensor::from_op(out, Shape::new(&[m, n]), parents, backward)
+        Tensor::from_op(
+            out,
+            Shape::new(&[m, n]),
+            vec![self.clone(), weight.clone(), bias.clone()],
+            backward,
+        )
     }
 }
 

@@ -9,9 +9,9 @@ impl Tensor {
         let total: f32 = self.data().iter().sum();
         let n = self.numel();
         let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
-                src.accumulate_grad(&vec![g[0]; n]);
+                src.accumulate_grad(vec![g[0]; n]);
             }
         });
         Tensor::from_op(vec![total], Shape::new(&[1]), vec![self.clone()], backward)
@@ -34,7 +34,7 @@ impl Tensor {
         let out: Vec<f32> = (0..n).map(|i| data[i * d..(i + 1) * d].iter().sum()).collect();
         drop(data);
         let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
                 let mut gs = vec![0.0; n * d];
                 for i in 0..n {
@@ -42,7 +42,7 @@ impl Tensor {
                         gs[i * d + j] = g[i];
                     }
                 }
-                src.accumulate_grad(&gs);
+                src.accumulate_grad(gs);
             }
         });
         Tensor::from_op(out, Shape::new(&[n]), vec![self.clone()], backward)

@@ -19,7 +19,7 @@ impl Tensor {
             });
         }
         let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
                 src.accumulate_grad(g);
             }
@@ -74,7 +74,7 @@ impl Tensor {
         }
         let parents: Vec<Tensor> = parts.iter().map(|&p| p.clone()).collect();
         let parent_handles = parents.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             let mut offset = 0;
             for (p, &w) in parent_handles.iter().zip(&widths) {
                 if p.requires_grad() {
@@ -83,7 +83,7 @@ impl Tensor {
                         gp[i * w..(i + 1) * w]
                             .copy_from_slice(&g[i * total + offset..i * total + offset + w]);
                     }
-                    p.accumulate_grad(&gp);
+                    p.accumulate_grad(gp);
                 }
                 offset += w;
             }
@@ -114,7 +114,7 @@ impl Tensor {
         }
         let parents: Vec<Tensor> = parts.iter().map(|&p| p.clone()).collect();
         let parent_handles = parents.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             let mut offset = 0;
             for (p, &h) in parent_handles.iter().zip(&heights) {
                 if p.requires_grad() {
@@ -141,14 +141,14 @@ impl Tensor {
         }
         drop(data);
         let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             if src.requires_grad() {
                 let mut gs = vec![0.0; n * d];
                 for i in 0..n {
                     gs[i * d + start..i * d + start + len]
                         .copy_from_slice(&g[i * len..(i + 1) * len]);
                 }
-                src.accumulate_grad(&gs);
+                src.accumulate_grad(gs);
             }
         });
         Tensor::from_op(out, Shape::new(&[n, len]), vec![self.clone()], backward)
@@ -168,6 +168,7 @@ impl Tensor {
         let (n, a) = self.shape_obj().as_2d();
         let (n2, b) = rhs.shape_obj().as_2d();
         assert_eq!(n, n2, "outer_flatten operands must share a row count");
+        let (lhs_s, rhs_s) = (self.save(), rhs.save());
         let ld = self.data();
         let rd = rhs.data();
         let mut out = vec![0.0; n * a * b];
@@ -186,35 +187,36 @@ impl Tensor {
         }
         drop(ld);
         drop(rd);
-        let lhs_snap = self.to_vec();
-        let rhs_snap = rhs.to_vec();
-        let (lt, rt) = (self.clone(), rhs.clone());
-        let backward: BackwardFn = Box::new(move |g: &[f32]| {
-            if lt.requires_grad() {
+        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
+            if lhs_s.tensor.requires_grad() {
+                let rd = rhs_s.read();
                 let mut gl = vec![0.0; n * a];
                 for i in 0..n {
                     for x in 0..a {
                         let mut acc = 0.0;
                         for y in 0..b {
-                            acc += g[i * a * b + x * b + y] * rhs_snap[i * b + y];
+                            acc += g[i * a * b + x * b + y] * rd[i * b + y];
                         }
                         gl[i * a + x] = acc;
                     }
                 }
-                lt.accumulate_grad(&gl);
+                drop(rd);
+                lhs_s.tensor.accumulate_grad(gl);
             }
-            if rt.requires_grad() {
+            if rhs_s.tensor.requires_grad() {
+                let ld = lhs_s.read();
                 let mut gr = vec![0.0; n * b];
                 for i in 0..n {
                     for y in 0..b {
                         let mut acc = 0.0;
                         for x in 0..a {
-                            acc += g[i * a * b + x * b + y] * lhs_snap[i * a + x];
+                            acc += g[i * a * b + x * b + y] * ld[i * a + x];
                         }
                         gr[i * b + y] = acc;
                     }
                 }
-                rt.accumulate_grad(&gr);
+                drop(ld);
+                rhs_s.tensor.accumulate_grad(gr);
             }
         });
         Tensor::from_op(

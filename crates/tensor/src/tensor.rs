@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{
@@ -31,11 +32,37 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Backward closure: receives the gradient flowing into this node and
-/// accumulates gradients into the node's parents (which it captures).
-/// `Send + Sync` so whole graphs can be built and differentiated on tp-par
-/// workers.
-pub(crate) type BackwardFn = Box<dyn Fn(&[f32]) + Send + Sync>;
+/// Backward closure: receives the gradient flowing into this node and the
+/// node's own output, and accumulates gradients into the node's parents
+/// (which it captures). `Send + Sync` so whole graphs can be built and
+/// differentiated on tp-par workers.
+pub(crate) type BackwardFn = Box<dyn Fn(&[f32], &[f32]) + Send + Sync>;
+
+/// What a backward panics with when an operand it reads was written in
+/// place after the forward read it.
+pub(crate) const IN_PLACE_WRITE: &str =
+    "tensor written in place (data_mut) between an op's forward and its backward";
+
+/// An operand that an op's backward reads live from its tensor, instead
+/// of from a copy, with the tensor's version when the forward read it.
+pub(crate) struct Saved {
+    pub(crate) tensor: Tensor,
+    version: u64,
+}
+
+impl Saved {
+    /// Read-locks the operand, then panics if [`Tensor::data_mut`] has
+    /// handed it out since the forward: the read guard taken first keeps
+    /// the version still while the data is in use.
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, Vec<f32>> {
+        let data = self.tensor.data();
+        assert!(
+            self.tensor.inner.version.load(Ordering::Relaxed) == self.version,
+            "{IN_PLACE_WRITE}"
+        );
+        data
+    }
+}
 
 pub(crate) struct Inner {
     pub(crate) id: u64,
@@ -47,6 +74,13 @@ pub(crate) struct Inner {
     /// injection) never run concurrently with graph building or backward —
     /// so the re-entrant read can never deadlock against a queued writer.
     pub(crate) data: RwLock<Vec<f32>>,
+    /// Bumped by every [`Tensor::data_mut`], so a backward can tell that
+    /// an operand it reads live changed after the forward. `Relaxed` is
+    /// enough: the bump happens under the write lock and [`Saved::read`]
+    /// checks under a read lock, so the lock orders them. `save` reads it
+    /// before the forward's read lock, so a stale value can only make a
+    /// backward panic, never miss a write.
+    version: AtomicU64,
     pub(crate) grad: Mutex<Option<Vec<f32>>>,
     pub(crate) requires_grad: AtomicBool,
     pub(crate) parents: Vec<Tensor>,
@@ -153,6 +187,7 @@ impl Tensor {
                 id: next_id(),
                 shape,
                 data: RwLock::new(data),
+                version: AtomicU64::new(0),
                 grad: Mutex::new(None),
                 requires_grad: AtomicBool::new(false),
                 parents: Vec::new(),
@@ -163,8 +198,9 @@ impl Tensor {
 
     /// Whether an op over `parents` records a tape node: the tape is on
     /// (outside [`crate::no_grad`]) and some parent requires gradients.
-    /// The one definition of that rule; ops that snapshot operands for
-    /// their backward check it before copying.
+    /// The one definition of that rule: [`Tensor::from_op`] applies it,
+    /// and an op with forward work only its backward needs (the arg-max
+    /// of `segment_max`) checks it first.
     pub(crate) fn records_tape(parents: &[Tensor]) -> bool {
         crate::autograd::grad_enabled() && parents.iter().any(Tensor::requires_grad)
     }
@@ -187,6 +223,7 @@ impl Tensor {
                 id: next_id(),
                 shape,
                 data: RwLock::new(data),
+                version: AtomicU64::new(0),
                 grad: Mutex::new(None),
                 requires_grad: AtomicBool::new(true),
                 parents,
@@ -227,8 +264,26 @@ impl Tensor {
 
     /// Write-locks the underlying data (used by optimizers and fault
     /// injection — phases during which no graph is being built).
+    ///
+    /// Every call bumps the tensor's version. The backward of an op that
+    /// reads this tensor as an operand (`linear`, `matmul`, `mul`,
+    /// `outer_flatten`, the unary ops) reads it live rather than from a
+    /// copy, so a write between that op's forward and
+    /// [`Tensor::backward`] makes the backward panic instead of
+    /// differentiating the new data.
     pub fn data_mut(&self) -> RwLockWriteGuard<'_, Vec<f32>> {
-        write_recover(&self.inner.data)
+        let data = write_recover(&self.inner.data);
+        self.inner.version.fetch_add(1, Ordering::Relaxed);
+        data
+    }
+
+    /// This tensor as an operand its op's backward reads live; see
+    /// [`Saved::read`].
+    pub(crate) fn save(&self) -> Saved {
+        Saved {
+            tensor: self.clone(),
+            version: self.inner.version.load(Ordering::Relaxed),
+        }
     }
 
     /// Copies the data out into a fresh `Vec`.
@@ -266,7 +321,11 @@ impl Tensor {
         self
     }
 
-    /// The accumulated gradient, if any.
+    /// The accumulated gradient of a leaf, if any.
+    ///
+    /// Only leaves keep a gradient: [`Tensor::backward`] frees each
+    /// interior node's gradient as soon as that node's backward has run,
+    /// so an op's output reads `None` after the sweep.
     pub fn grad(&self) -> Option<Vec<f32>> {
         lock_recover(&self.inner.grad).clone()
     }
@@ -281,17 +340,25 @@ impl Tensor {
         Tensor::leaf(self.to_vec(), self.inner.shape.clone())
     }
 
-    pub(crate) fn accumulate_grad(&self, g: &[f32]) {
+    /// Adds `g` into the gradient slot. An empty slot takes an owned `g`
+    /// as it is, and copies a borrowed one.
+    pub(crate) fn accumulate_grad<'a>(&self, g: impl Into<Cow<'a, [f32]>>) {
+        let g = g.into();
         debug_assert_eq!(g.len(), self.numel(), "gradient length mismatch");
         let mut slot = lock_recover(&self.inner.grad);
         match slot.as_mut() {
             Some(existing) => {
-                for (e, &v) in existing.iter_mut().zip(g) {
+                for (e, &v) in existing.iter_mut().zip(g.iter()) {
                     *e += v;
                 }
             }
-            None => *slot = Some(g.to_vec()),
+            None => *slot = Some(g.into_owned()),
         }
+    }
+
+    /// Empties the gradient slot, returning what it held.
+    pub(crate) fn take_grad(&self) -> Option<Vec<f32>> {
+        lock_recover(&self.inner.grad).take()
     }
 
     /// Replaces the stored gradient wholesale (used by gradient clipping).
@@ -358,8 +425,8 @@ mod tests {
     #[test]
     fn grad_accumulates() {
         let t = Tensor::zeros(&[3]).with_grad();
-        t.accumulate_grad(&[1.0, 2.0, 3.0]);
-        t.accumulate_grad(&[1.0, 1.0, 1.0]);
+        t.accumulate_grad(vec![1.0, 2.0, 3.0]);
+        t.accumulate_grad(&[1.0, 1.0, 1.0][..]);
         assert_eq!(t.grad().unwrap(), vec![2.0, 3.0, 4.0]);
         t.zero_grad();
         assert!(t.grad().is_none());

@@ -2,18 +2,21 @@
 //! at `TP_SCALE` (default 1.0 — the paper's real design sizes), run end to
 //! end: placement, routing + four-corner STA, then a no-grad GNN forward
 //! with the paper-size model, its propagation levels grouped into
-//! `prop_chunk` spans under a `TP_PARTITION_NODES` budget. There is one
-//! forward path; the budget changes neither the ops nor the memory held.
-//! Writes `run_report.json` to the working directory; the manifest records
-//! `peak_rss_bytes` (VmHWM), which the calling script asserts against a
-//! documented budget.
+//! `prop_chunk` spans under a `TP_PARTITION_NODES` budget, then one taped
+//! training step (`Trainer::step`) of the same model on the same design.
+//! There is one forward path; the budget changes neither the ops nor the
+//! memory held. Writes `run_report.json` to the working directory. The
+//! manifest's `peak_rss_bytes` is the VmHWM after the forward, read before
+//! the step runs; `step_peak_rss_bytes` is the VmHWM after the step and
+//! `step_s` its wall clock. The calling script asserts both peaks against
+//! documented budgets.
 //!
 //! Run with: `TP_PARTITION_NODES=20000 cargo run --release --example
 //! scale1_smoke [design] [scale]`.
 
 use timing_predict::data::DesignGraph;
 use timing_predict::gen::{generate, BenchmarkSpec, GeneratorConfig};
-use timing_predict::gnn::{ModelConfig, PropPlan, TimingGnn};
+use timing_predict::gnn::{ModelConfig, TimingGnn, TrainConfig, Trainer};
 use timing_predict::liberty::Library;
 use timing_predict::obs;
 use timing_predict::place::{place_circuit, PlacementConfig};
@@ -71,9 +74,11 @@ fn main() {
     let flow = run_full_flow(&circuit, &placement, &library, &sta);
     let design =
         DesignGraph::from_flow(design_name, false, &circuit, &placement, &library, &flow, &sta);
-    let plan = PropPlan::build(&design);
-    let model = TimingGnn::new(&ModelConfig::paper());
-    let pred = timing_predict::tensor::no_grad(|| model.forward(&design, &plan));
+    let mut trainer = Trainer::new(
+        TimingGnn::new(&ModelConfig::paper()),
+        TrainConfig::default(),
+    );
+    let pred = trainer.predict(&design);
 
     let wall_ns = wall.elapsed().as_nanos() as u64;
     obs::disable();
@@ -81,13 +86,23 @@ fn main() {
 
     let slacks = pred.endpoint_setup_slack(&design);
     let worst = slacks.iter().copied().fold(f32::INFINITY, f32::min);
+    drop(pred);
+    // Built now, so its peak_rss_bytes is the forward's VmHWM.
     let mut report = obs::manifest::RunReport::from_obs("scale1_smoke", seed, wall_ns, &data);
+
+    let step_start = std::time::Instant::now();
+    let loss = trainer.step(&design);
+    let step_s = step_start.elapsed().as_secs_f64();
+    let step_peak = obs::peak_rss_bytes();
     report
         .config("design", design_name)
         .config("scale", scale)
         .config("partition_nodes", budget)
         .config("threads", timing_predict::par::threads())
         .config("num_pins", design.num_pins);
+    report
+        .section("step_peak_rss_bytes", step_peak.to_string())
+        .section("step_s", format!("{step_s:.3}"));
     report
         .write(std::path::Path::new("run_report.json"))
         .expect("write run_report.json");
@@ -98,9 +113,14 @@ fn main() {
         design.endpoints.len()
     );
     println!(
-        "scale1: wall {:.2}s, peak RSS {:.1} MiB (budget: {} nodes/chunk) — run_report.json written",
+        "scale1: wall {:.2}s, peak RSS {:.1} MiB (budget: {} nodes/chunk)",
         wall_ns as f64 / 1e9,
         report.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         budget
+    );
+    println!(
+        "scale1: training step {step_s:.2}s, loss {:.4}, peak RSS {:.1} MiB — run_report.json written",
+        loss.total,
+        step_peak as f64 / (1024.0 * 1024.0),
     );
 }

@@ -5,7 +5,7 @@
 //! iteration, time-seeded RNGs, non-deterministic reductions) fails this
 //! before it can poison a paper table.
 
-use timing_predict::data::{Dataset, DatasetConfig};
+use timing_predict::data::{Dataset, DatasetConfig, DesignGraph};
 use timing_predict::gen::GeneratorConfig;
 use timing_predict::gnn::{
     EpochStats, FaultPlan, FitOptions, ModelConfig, Prediction, TimingGnn, TrainConfig, Trainer,
@@ -451,4 +451,109 @@ fn different_seeds_diverge() {
         h2.last().unwrap().total.to_bits(),
         "distinct seeds should produce distinct losses"
     );
+}
+
+/// FNV-1a over the little-endian bits of `values`.
+fn bits_hash(values: impl IntoIterator<Item = f32>) -> u64 {
+    let bytes: Vec<u8> = values.into_iter().flat_map(f32::to_le_bytes).collect();
+    timing_predict::gnn::checkpoint::fnv1a64(&bytes)
+}
+
+/// Three `Trainer::step`s of `config` on `design`, condensed to four
+/// hashes: the losses, every parameter's bits, every parameter's gradient
+/// bits after the last step, and one no-grad prediction.
+fn trajectory_hashes(design: &DesignGraph, config: &ModelConfig) -> [u64; 4] {
+    use timing_predict::nn::Module;
+
+    let mut trainer = Trainer::new(TimingGnn::new(config), TrainConfig::default());
+    let mut losses = Vec::new();
+    for _ in 0..3 {
+        let p = trainer.step(design);
+        assert!(
+            p.total.is_finite(),
+            "the trajectory trains on real gradients"
+        );
+        losses.extend([p.atslew, p.celld, p.netd, p.total]);
+    }
+    let params = trainer.model().parameters();
+    let weights = bits_hash(params.iter().flat_map(|p| p.to_vec()));
+    let grads = bits_hash(
+        params
+            .iter()
+            .flat_map(|p| p.grad().expect("every parameter receives a gradient")),
+    );
+    let pred = trainer.predict(design);
+    let prediction = bits_hash(
+        [&pred.arrival, &pred.slew, &pred.net_delay, &pred.cell_delay]
+            .into_iter()
+            .flat_map(|t| t.to_vec()),
+    );
+    [bits_hash(losses), weights, grads, prediction]
+}
+
+/// Training bits are pinned across commits, not only across runs of one
+/// build: three `Trainer::step`s with the default and the paper
+/// `ModelConfig` on picorv32a at 1/100 scale must reproduce hashes recorded
+/// on the commit before the lean autograd tape (backward reading live
+/// operands and releasing interior gradients). A refactor of the tape, the
+/// kernels or the optimizer that moves one bit of a loss, weight, gradient
+/// or prediction fails here.
+#[test]
+fn training_bits_match_the_recorded_trajectory() {
+    use timing_predict::gen::{generate, BenchmarkSpec};
+    use timing_predict::place::{place_circuit, PlacementConfig};
+    use timing_predict::sta::flow::run_full_flow;
+    use timing_predict::sta::StaConfig;
+
+    // [losses, weights, grads, prediction] per config.
+    const RECORDED: [(&str, [u64; 4]); 2] = [
+        (
+            "default",
+            [
+                0x2b20e6b1bcc109c5,
+                0xb211c3e9d5b08d1d,
+                0xda17bb310123ef63,
+                0x0c37e93ffce3d718,
+            ],
+        ),
+        (
+            "paper",
+            [
+                0x082ceda28b97a95c,
+                0x2bf1b98467594f59,
+                0xae5c4645e5a4f369,
+                0xa84f6ca4916f002b,
+            ],
+        ),
+    ];
+
+    let library = Library::synthetic_sky130(0);
+    let spec = BenchmarkSpec::by_name("picorv32a").expect("known benchmark");
+    let circuit = generate(
+        spec,
+        &library,
+        &GeneratorConfig {
+            scale: 0.01,
+            seed: 7,
+            depth: None,
+        },
+    );
+    let placement = place_circuit(&circuit, &PlacementConfig::default(), 5);
+    let sta = StaConfig::default();
+    let flow = run_full_flow(&circuit, &placement, &library, &sta);
+    let design =
+        DesignGraph::from_flow(spec.name, true, &circuit, &placement, &library, &flow, &sta);
+
+    let got = [ModelConfig::default(), ModelConfig::paper()]
+        .map(|config| trajectory_hashes(&design, &config));
+    let hex = |h: &[u64; 4]| h.map(|v| format!("{v:#018x}")).join(", ");
+    for ((name, recorded), got) in RECORDED.iter().zip(&got) {
+        assert_eq!(
+            got,
+            recorded,
+            "{name} config: [losses, weights, grads, prediction] = [{}], recorded [{}]",
+            hex(got),
+            hex(recorded)
+        );
+    }
 }
