@@ -144,8 +144,8 @@ impl DecisionTree {
                 }
                 let right_sum = total_sum - left_sum;
                 let right_sq = total_sq - left_sq;
-                let sse = (left_sq - left_sum * left_sum / nl)
-                    + (right_sq - right_sum * right_sum / nr);
+                let sse =
+                    (left_sq - left_sum * left_sum / nl) + (right_sq - right_sum * right_sum / nr);
                 let gain = base_sse - sse;
                 if best.map_or(gain > 1e-12, |(_, _, g)| gain > g) {
                     best = Some((f, 0.5 * (xv + xnext), gain));
@@ -262,7 +262,9 @@ impl RandomForest {
 
     /// Predicts many rows (flattened `[n, num_features]`).
     pub fn predict_batch(&self, x: &[f32]) -> Vec<f32> {
-        x.chunks(self.num_features).map(|r| self.predict(r)).collect()
+        x.chunks(self.num_features)
+            .map(|r| self.predict(r))
+            .collect()
     }
 
     /// Number of trees.
@@ -365,8 +367,9 @@ mod tests {
         x[77 * 2 + 1] = f32::NAN; // and one x1 value
         let fit = || RandomForest::fit(&x, &y, 2, &toy_config());
         let (fa, fb) = (fit(), fit());
-        let probe: Vec<[f32; 2]> =
-            (0..25).map(|i| [i as f32 / 25.0, (i * 7 % 25) as f32 / 25.0]).collect();
+        let probe: Vec<[f32; 2]> = (0..25)
+            .map(|i| [i as f32 / 25.0, (i * 7 % 25) as f32 / 25.0])
+            .collect();
         for row in &probe {
             let (pa, pb) = (fa.predict(row), fb.predict(row));
             assert_eq!(pa.to_bits(), pb.to_bits(), "prediction differs at {row:?}");

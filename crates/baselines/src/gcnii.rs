@@ -1,8 +1,8 @@
 //! GCNII (paper Sec. 2.2, Eqs. 1–3).
 
-use tp_rng::StdRng;
 use tp_data::{DesignGraph, PIN_FEATURES};
 use tp_nn::{Linear, Mlp, Module};
+use tp_rng::StdRng;
 use tp_tensor::ops::elementwise::mask_rows;
 use tp_tensor::Tensor;
 
@@ -283,7 +283,10 @@ mod tests {
         for _ in 0..8 {
             h = g.spmm(&h);
         }
-        assert!(h.to_vec().iter().all(|&v| v.is_finite() && v.abs() <= bound));
+        assert!(h
+            .to_vec()
+            .iter()
+            .all(|&v| v.is_finite() && v.abs() <= bound));
     }
 
     #[test]

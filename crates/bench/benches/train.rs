@@ -44,7 +44,11 @@ fn trainer(epochs: usize) -> Trainer {
 
 fn bench_step(suite: &mut Suite) {
     let ds = dataset();
-    let design = ds.train().next().expect("suite has a training design").clone();
+    let design = ds
+        .train()
+        .next()
+        .expect("suite has a training design")
+        .clone();
     let mut t = trainer(1);
     suite.bench("train_step/one_design", || t.step(&design));
 }

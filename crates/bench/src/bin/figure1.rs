@@ -35,7 +35,14 @@ fn main() {
             cfg.scale
         ),
         &[
-            "Benchmark", "K=1", "K=2", "K=4", "K=8", "K=16", "K=32", "mean req. depth",
+            "Benchmark",
+            "K=1",
+            "K=2",
+            "K=4",
+            "K=8",
+            "K=16",
+            "K=32",
+            "mean req. depth",
             "max req. depth",
         ],
         &rows,

@@ -36,7 +36,10 @@ fn ascii_scatter(title: &str, truth: &[f32], pred: &[f32]) {
         let y = H - 1 - (((p - lo) / span) * (H - 1) as f32) as usize;
         grid[y.min(H - 1)][x.min(W - 1)] = '*';
     }
-    println!("\n{title}  [{:.3}, {:.3}] ns (x=truth, y=prediction)", lo, hi);
+    println!(
+        "\n{title}  [{:.3}, {:.3}] ns (x=truth, y=prediction)",
+        lo, hi
+    );
     for row in grid {
         println!("  |{}|", row.into_iter().collect::<String>());
     }

@@ -23,7 +23,12 @@ fn main() {
         totals[split_ix].accumulate(s);
         rows.push(vec![
             spec.name.to_string(),
-            if spec.split == Split::Train { "train" } else { "test" }.to_string(),
+            if spec.split == Split::Train {
+                "train"
+            } else {
+                "test"
+            }
+            .to_string(),
             s.nodes.to_string(),
             s.net_edges.to_string(),
             s.cell_edges.to_string(),

@@ -48,8 +48,8 @@ fn train_stats_mlp(pool: &StatsDataset, seed: u64, steps: usize) -> Mlp {
 }
 
 fn mlp_r2(mlp: &Mlp, data: &StatsDataset) -> f64 {
-    let x = Tensor::from_vec(data.x.clone(), &[data.len(), STATS_FEATURES])
-        .expect("consistent rows");
+    let x =
+        Tensor::from_vec(data.x.clone(), &[data.len(), STATS_FEATURES]).expect("consistent rows");
     // invert the log training transform
     let pred: Vec<f32> = mlp
         .forward(&x)
@@ -133,7 +133,10 @@ fn main() {
     );
     eprintln!("[table4] training statistics MLP…");
     let mlp = train_stats_mlp(&pool, cfg.seed, 2000);
-    eprintln!("[table4] training net-embedding GNN ({} epochs)…", cfg.epochs);
+    eprintln!(
+        "[table4] training net-embedding GNN ({} epochs)…",
+        cfg.epochs
+    );
     let gnn = train_net_gnn(&dataset, &cfg);
 
     // ---- per-design scores ----
@@ -179,7 +182,13 @@ fn main() {
             "Table 4 — net delay prediction R² (scale {:.4}, {} epochs)",
             cfg.scale, cfg.epochs
         ),
-        &["Benchmark", "Split", "Stats-RF [5]", "Stats-MLP [5]", "Our GNN"],
+        &[
+            "Benchmark",
+            "Split",
+            "Stats-RF [5]",
+            "Stats-MLP [5]",
+            "Our GNN",
+        ],
         &rows,
     );
 }

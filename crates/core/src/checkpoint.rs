@@ -84,7 +84,10 @@ impl fmt::Display for CheckpointError {
                 write!(f, "unsupported checkpoint version {v}")
             }
             CheckpointError::Truncated { expected, actual } => {
-                write!(f, "checkpoint truncated: expected {expected} payload bytes, have {actual}")
+                write!(
+                    f,
+                    "checkpoint truncated: expected {expected} payload bytes, have {actual}"
+                )
             }
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
@@ -230,7 +233,9 @@ impl Checkpoint {
             v.push(rd.f32s(len)?);
         }
         if !rd.at_end() {
-            return Err(CheckpointError::Malformed("trailing bytes after optimizer state"));
+            return Err(CheckpointError::Malformed(
+                "trailing bytes after optimizer state",
+            ));
         }
         Ok(Checkpoint {
             epoch,
@@ -394,7 +399,11 @@ mod tests {
         let bytes = sample().to_bytes();
         for cut in 0..bytes.len() {
             let err = Checkpoint::from_bytes(&bytes[..cut]);
-            assert!(err.is_err(), "prefix of {cut}/{} bytes must fail", bytes.len());
+            assert!(
+                err.is_err(),
+                "prefix of {cut}/{} bytes must fail",
+                bytes.len()
+            );
         }
     }
 

@@ -304,7 +304,10 @@ mod tests {
         assert!(all.injects_nan_grad(2));
         assert_eq!(all.cell_fault(3, 1), Some(CellFault::Panic));
         assert_eq!(all.request_fault(5), Some(RequestFault::Hang { ms: 10 }));
-        assert_eq!(FaultPlan::hang_at_request([0], 5).request_fault(0), Some(RequestFault::Hang { ms: 5 }));
+        assert_eq!(
+            FaultPlan::hang_at_request([0], 5).request_fault(0),
+            Some(RequestFault::Hang { ms: 5 })
+        );
     }
 
     #[test]

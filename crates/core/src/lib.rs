@@ -45,10 +45,10 @@ pub mod checkpoint;
 pub mod faultinject;
 mod incremental;
 mod loss;
-mod parbridge;
 mod lutmod;
 mod model;
 mod netconv;
+mod parbridge;
 mod plan;
 mod prop;
 mod train;
@@ -64,6 +64,6 @@ pub use parbridge::install_par_metrics;
 pub use plan::{EdgeGroup, LevelPlan, PropPlan};
 pub use prop::Propagation;
 pub use train::{
-    DivergenceCause, DivergenceEvent, EpochStats, EvalReport, FitOptions, TrainConfig,
-    TrainReport, Trainer,
+    DivergenceCause, DivergenceEvent, EpochStats, EvalReport, FitOptions, TrainConfig, TrainReport,
+    Trainer,
 };

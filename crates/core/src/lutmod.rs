@@ -8,9 +8,9 @@
 //! applies it to each of the arc's 8 LUT value matrices with a dot product
 //! — one scalar per table, concatenated into the arc message.
 
-use tp_rng::StdRng;
 use tp_data::CELL_EDGE_FEATURES;
 use tp_nn::{Mlp, Module};
+use tp_rng::StdRng;
 use tp_tensor::Tensor;
 
 /// Layout constants of the cell-edge feature vector (see `tp_data`).
@@ -143,11 +143,8 @@ mod tests {
         let m = LutModule::new(2, &[16], &mut rng);
         let ef = edge_features(4);
         let x = Tensor::ones(&[4, 2]);
-        let target = Tensor::from_vec(
-            (0..32).map(|i| (i % 8) as f32 * 0.05).collect(),
-            &[4, 8],
-        )
-        .unwrap();
+        let target =
+            Tensor::from_vec((0..32).map(|i| (i % 8) as f32 * 0.05).collect(), &[4, 8]).unwrap();
         let mut opt = tp_nn::optim::Adam::new(m.parameters(), 1e-2);
         let before = m.forward(&x, &ef).mse(&target).item();
         for _ in 0..150 {

@@ -232,7 +232,10 @@ mod tests {
             ablation: Ablation::default(),
         };
         let a = TimingGnn::new(&cfg);
-        let b = TimingGnn::new(&ModelConfig { seed: 999, ..cfg.clone() });
+        let b = TimingGnn::new(&ModelConfig {
+            seed: 999,
+            ..cfg.clone()
+        });
         let mut buf = Vec::new();
         tp_nn::save_parameters(&a.parameters(), &mut buf).expect("serialize");
         tp_nn::load_parameters(&b.parameters(), buf.as_slice()).expect("deserialize");
@@ -244,9 +247,18 @@ mod tests {
     #[test]
     fn ablated_models_build_and_run_smaller_or_equal() {
         for ablation in [
-            Ablation { no_max_channel: true, ..Default::default() },
-            Ablation { no_lut_module: true, ..Default::default() },
-            Ablation { no_net_embedding: true, ..Default::default() },
+            Ablation {
+                no_max_channel: true,
+                ..Default::default()
+            },
+            Ablation {
+                no_lut_module: true,
+                ..Default::default()
+            },
+            Ablation {
+                no_net_embedding: true,
+                ..Default::default()
+            },
         ] {
             let cfg = ModelConfig {
                 ablation,

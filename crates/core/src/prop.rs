@@ -8,9 +8,9 @@
 //! level reads the states the previous level wrote), so the loop stays
 //! serial and the kernels underneath fan out.
 
-use tp_rng::StdRng;
 use tp_data::{DesignGraph, PIN_FEATURES};
 use tp_nn::{Mlp, Module};
+use tp_rng::StdRng;
 use tp_tensor::Tensor;
 
 use crate::{Ablation, LutModule, PropPlan};
@@ -73,7 +73,12 @@ impl Propagation {
         let mut rng = StdRng::seed_from_u64(seed);
         Propagation {
             init: Mlp::new(PIN_FEATURES + embed_dim, hidden, prop_dim, &mut rng),
-            net_prop: Mlp::new(prop_dim + tp_data::NET_EDGE_FEATURES, hidden, prop_dim, &mut rng),
+            net_prop: Mlp::new(
+                prop_dim + tp_data::NET_EDGE_FEATURES,
+                hidden,
+                prop_dim,
+                &mut rng,
+            ),
             lut: LutModule::new(prop_dim, hidden, &mut rng),
             cell_msg: Mlp::new(prop_dim + LutModule::OUT_DIM, hidden, prop_dim, &mut rng),
             cell_combine: Mlp::new(2 * prop_dim, hidden, prop_dim, &mut rng),
@@ -331,7 +336,10 @@ mod tests {
             .iter()
             .filter(|p| p.grad().is_some())
             .count();
-        assert!(ne_live >= ne.parameters().len() - 4, "net-embed grads: {ne_live}");
+        assert!(
+            ne_live >= ne.parameters().len() - 4,
+            "net-embed grads: {ne_live}"
+        );
         // celld head is unused by this loss; everything else must have grads
         let live = prop
             .parameters()
@@ -372,9 +380,9 @@ mod tests {
         }
         let out2 = prop.forward(&d2, &plan, &ne.embed(&d2)).atslew.to_vec();
         let deepest = plan.levels.last().unwrap().pins.clone();
-        let changed = deepest.iter().any(|&p| {
-            (0..8).any(|k| (base[p * 8 + k] - out2[p * 8 + k]).abs() > 1e-7)
-        });
+        let changed = deepest
+            .iter()
+            .any(|&p| (0..8).any(|k| (base[p * 8 + k] - out2[p * 8 + k]).abs() > 1e-7));
         assert!(
             changed,
             "a startpoint perturbation must reach the deepest level in one pass"

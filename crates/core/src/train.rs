@@ -500,10 +500,7 @@ impl Trainer {
                             error = format!("{e}"),
                         );
                         if self.config.log_every > 0 {
-                            tp_obs::stderr_line(&format!(
-                                "skipping design '{}': {e}",
-                                design.name
-                            ));
+                            tp_obs::stderr_line(&format!("skipping design '{}': {e}", design.name));
                         }
                     }
                 }
@@ -637,7 +634,8 @@ impl Trainer {
                 ));
             }
         }
-        tp_nn::load_parameters(&self.params, ck.model.as_slice()).map_err(CheckpointError::Model)?;
+        tp_nn::load_parameters(&self.params, ck.model.as_slice())
+            .map_err(CheckpointError::Model)?;
         self.optimizer
             .import_state(ck.optimizer.clone())
             .map_err(CheckpointError::Optimizer)?;

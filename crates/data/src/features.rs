@@ -134,7 +134,15 @@ impl DesignGraph {
         sta: &StaConfig,
     ) -> DesignGraph {
         let name = name.into();
-        match Self::try_from_flow(name.clone(), is_train, circuit, placement, library, flow, sta) {
+        match Self::try_from_flow(
+            name.clone(),
+            is_train,
+            circuit,
+            placement,
+            library,
+            flow,
+            sta,
+        ) {
             Ok(g) => g,
             Err(e) => panic!("design '{name}' failed validation: {e}"),
         }
@@ -168,9 +176,17 @@ impl DesignGraph {
         let topo = circuit.topology();
 
         // ---- structure ----
-        let net_src: Vec<usize> = circuit.net_edges().iter().map(|e| e.driver.index()).collect();
+        let net_src: Vec<usize> = circuit
+            .net_edges()
+            .iter()
+            .map(|e| e.driver.index())
+            .collect();
         let net_dst: Vec<usize> = circuit.net_edges().iter().map(|e| e.sink.index()).collect();
-        let cell_src: Vec<usize> = circuit.cell_edges().iter().map(|e| e.from.index()).collect();
+        let cell_src: Vec<usize> = circuit
+            .cell_edges()
+            .iter()
+            .map(|e| e.from.index())
+            .collect();
         let cell_dst: Vec<usize> = circuit.cell_edges().iter().map(|e| e.to.index()).collect();
         let levels: Vec<Vec<usize>> = topo
             .levels()
@@ -382,12 +398,13 @@ impl DesignGraph {
     /// immutable bulk of the graph.
     pub fn deep_clone(&self) -> DesignGraph {
         let mut out = self.clone();
-        out.pin_features =
-            Tensor::from_vec(self.pin_features.to_vec(), self.pin_features.shape())
-                .expect("clone preserves shape");
-        out.net_edge_features =
-            Tensor::from_vec(self.net_edge_features.to_vec(), self.net_edge_features.shape())
-                .expect("clone preserves shape");
+        out.pin_features = Tensor::from_vec(self.pin_features.to_vec(), self.pin_features.shape())
+            .expect("clone preserves shape");
+        out.net_edge_features = Tensor::from_vec(
+            self.net_edge_features.to_vec(),
+            self.net_edge_features.shape(),
+        )
+        .expect("clone preserves shape");
         out
     }
 
@@ -624,10 +641,8 @@ mod tests {
         let mut placement = place_circuit(&circuit, &PlacementConfig::default(), 3);
         let sta = StaConfig::default();
         let flow = run_full_flow(&circuit, &placement, &lib, &sta);
-        placement.set_location_unchecked(
-            tp_graph::PinId::new(0),
-            tp_place::Point::new(f32::NAN, 1.0),
-        );
+        placement
+            .set_location_unchecked(tp_graph::PinId::new(0), tp_place::Point::new(f32::NAN, 1.0));
         let err = DesignGraph::try_from_flow("t", true, &circuit, &placement, &lib, &flow, &sta)
             .unwrap_err();
         assert!(matches!(err, tp_graph::GraphError::NonFiniteCoordinate(_)));
@@ -637,8 +652,14 @@ mod tests {
     fn shapes_are_consistent() {
         let g = lowered();
         assert_eq!(g.pin_features.shape(), &[g.num_pins, PIN_FEATURES]);
-        assert_eq!(g.net_edge_features.shape(), &[g.num_net_edges(), NET_EDGE_FEATURES]);
-        assert_eq!(g.cell_edge_features.shape(), &[g.num_cell_edges(), CELL_EDGE_FEATURES]);
+        assert_eq!(
+            g.net_edge_features.shape(),
+            &[g.num_net_edges(), NET_EDGE_FEATURES]
+        );
+        assert_eq!(
+            g.cell_edge_features.shape(),
+            &[g.num_cell_edges(), CELL_EDGE_FEATURES]
+        );
         assert_eq!(g.arrival.shape(), &[g.num_pins, 4]);
         assert_eq!(g.cell_delay.shape(), &[g.num_cell_edges(), 4]);
         assert_eq!(g.endpoint_mask.len(), g.num_pins);
@@ -711,8 +732,16 @@ mod tests {
         let flow = run_full_flow(&circuit, &placement, &lib, &sta);
 
         let moves = vec![
-            PinMove { pin: 0, x: 1.25, y: 2.5 },
-            PinMove { pin: 2, x: 0.75, y: 0.25 },
+            PinMove {
+                pin: 0,
+                x: 1.25,
+                y: 2.5,
+            },
+            PinMove {
+                pin: 2,
+                x: 0.75,
+                y: 0.25,
+            },
         ];
         let dirty = g.apply_moves(&mut placement, &moves).expect("valid moves");
         assert_eq!(dirty.pins, vec![0, 2]);
@@ -720,13 +749,18 @@ mod tests {
 
         // Reference: lower the *moved* placement against the stale flow
         // (labels differ, but position-derived features must agree).
-        let fresh =
-            DesignGraph::try_from_flow("t", true, &circuit, &placement, &lib, &flow, &sta)
-                .expect("moved placement still lowers");
+        let fresh = DesignGraph::try_from_flow("t", true, &circuit, &placement, &lib, &flow, &sta)
+            .expect("moved placement still lowers");
         assert_eq!(g.pin_features.to_vec(), fresh.pin_features.to_vec());
-        assert_eq!(g.net_edge_features.to_vec(), fresh.net_edge_features.to_vec());
+        assert_eq!(
+            g.net_edge_features.to_vec(),
+            fresh.net_edge_features.to_vec()
+        );
         // Position-independent features and labels are untouched.
-        assert_eq!(g.cell_edge_features.to_vec(), fresh.cell_edge_features.to_vec());
+        assert_eq!(
+            g.cell_edge_features.to_vec(),
+            fresh.cell_edge_features.to_vec()
+        );
     }
 
     #[test]
@@ -736,7 +770,14 @@ mod tests {
         let before_loc = placement.locations().to_vec();
 
         let err = g
-            .apply_moves(&mut placement, &[PinMove { pin: 9999, x: 1.0, y: 1.0 }])
+            .apply_moves(
+                &mut placement,
+                &[PinMove {
+                    pin: 9999,
+                    x: 1.0,
+                    y: 1.0,
+                }],
+            )
             .unwrap_err();
         assert!(matches!(err, tp_graph::GraphError::UnknownPin(_)));
 
@@ -744,8 +785,16 @@ mod tests {
             .apply_moves(
                 &mut placement,
                 &[
-                    PinMove { pin: 0, x: 1.0, y: 1.0 },
-                    PinMove { pin: 1, x: f32::NAN, y: 1.0 },
+                    PinMove {
+                        pin: 0,
+                        x: 1.0,
+                        y: 1.0,
+                    },
+                    PinMove {
+                        pin: 1,
+                        x: f32::NAN,
+                        y: 1.0,
+                    },
                 ],
             )
             .unwrap_err();
@@ -764,8 +813,16 @@ mod tests {
             .apply_moves(
                 &mut placement,
                 &[
-                    PinMove { pin: 1, x: 0.5, y: 0.5 },
-                    PinMove { pin: 1, x: 2.0, y: 3.0 },
+                    PinMove {
+                        pin: 1,
+                        x: 0.5,
+                        y: 0.5,
+                    },
+                    PinMove {
+                        pin: 1,
+                        x: 2.0,
+                        y: 3.0,
+                    },
                 ],
             )
             .expect("valid");
@@ -787,7 +844,14 @@ mod tests {
         let before_nef = g.net_edge_features.to_vec();
         let loc = placement.location(tp_graph::PinId::new(0));
         let dirty = g
-            .apply_moves(&mut placement, &[PinMove { pin: 0, x: loc.x, y: loc.y }])
+            .apply_moves(
+                &mut placement,
+                &[PinMove {
+                    pin: 0,
+                    x: loc.x,
+                    y: loc.y,
+                }],
+            )
             .expect("valid");
         assert_eq!(dirty.pins, vec![0]);
         assert_eq!(g.pin_features.to_vec(), before_pf);

@@ -60,7 +60,11 @@ impl R2Accumulator {
     ///
     /// Panics if the slices have different lengths.
     pub fn extend(&mut self, truth: &[f32], pred: &[f32]) {
-        assert_eq!(truth.len(), pred.len(), "R2Accumulator slice lengths differ");
+        assert_eq!(
+            truth.len(),
+            pred.len(),
+            "R2Accumulator slice lengths differ"
+        );
         for (&t, &p) in truth.iter().zip(pred) {
             self.push(t, p);
         }

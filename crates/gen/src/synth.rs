@@ -3,9 +3,9 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use tp_rng::{Rng, StdRng};
 use tp_graph::{Circuit, CircuitBuilder, PinId};
 use tp_liberty::Library;
+use tp_rng::{Rng, StdRng};
 
 use crate::{BenchmarkSpec, Split};
 
@@ -62,7 +62,9 @@ pub fn generate(spec: &BenchmarkSpec, library: &Library, config: &GeneratorConfi
     let depth = config.depth.unwrap_or_else(|| {
         // Deeper designs for larger circuits, in the 10–48 range; real
         // suites show depth growing slowly with size.
-        ((target_cell_edges as f64).powf(0.28) * 3.0).round().clamp(10.0, 48.0) as usize
+        ((target_cell_edges as f64).powf(0.28) * 3.0)
+            .round()
+            .clamp(10.0, 48.0) as usize
     });
 
     let mut b = CircuitBuilder::new(spec.name);
@@ -93,9 +95,9 @@ pub fn generate(spec: &BenchmarkSpec, library: &Library, config: &GeneratorConfi
     let mut idx = 0usize;
     while edge_budget > 0 {
         // Spindle-shaped level distribution: sum of two uniforms.
-        let l = 1 + ((rng.gen_range(0.0..1.0f64) + rng.gen_range(0.0..1.0f64)) / 2.0
-            * (depth - 1) as f64)
-            .floor() as usize;
+        let l = 1
+            + ((rng.gen_range(0.0..1.0f64) + rng.gen_range(0.0..1.0f64)) / 2.0 * (depth - 1) as f64)
+                .floor() as usize;
         let roll: f64 = rng.gen_range(0.0..1.0);
         let (type_id, n_inputs) = if roll < 0.20 {
             (one_in[rng.gen_range(0..one_in.len())], 1)
@@ -311,11 +313,7 @@ mod tests {
     fn fanout_emerges() {
         let lib = Library::synthetic_sky130(0);
         let c = generate(&BENCHMARKS[3], &lib, &small_cfg());
-        let max_fanout = c
-            .net_ids()
-            .map(|n| c.net(n).sinks.len())
-            .max()
-            .unwrap_or(0);
+        let max_fanout = c.net_ids().map(|n| c.net(n).sinks.len()).max().unwrap_or(0);
         assert!(max_fanout >= 2, "some net should have fan-out > 1");
     }
 

@@ -68,7 +68,10 @@ impl fmt::Display for GraphError {
                 write!(f, "pin {p} does not belong to this builder")
             }
             GraphError::LevelOverflow { levels, max } => {
-                write!(f, "design has {levels} topological levels, maximum is {max}")
+                write!(
+                    f,
+                    "design has {levels} topological levels, maximum is {max}"
+                )
             }
         }
     }

@@ -115,8 +115,7 @@ pub fn report(circuit: &Circuit, hops: &[usize], max_samples: usize) -> Receptiv
         .iter()
         .map(|&p| required_receptive_depth(circuit, &topo, p))
         .collect();
-    let mean_required_depth =
-        depths.iter().sum::<usize>() as f64 / depths.len().max(1) as f64;
+    let mean_required_depth = depths.iter().sum::<usize>() as f64 / depths.len().max(1) as f64;
     let max_required_depth = depths.iter().copied().max().unwrap_or(0);
     ReceptiveFieldReport {
         hops: hops.to_vec(),

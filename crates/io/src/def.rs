@@ -70,7 +70,10 @@ pub fn parse(input: &str, circuit: &Circuit) -> Result<Placement, ParseError> {
     c.expect(")")?;
     c.expect(";")?;
     if !(w > 0.0 && h > 0.0 && w.is_finite() && h.is_finite()) {
-        return Err(ParseError::new(c.line(), "die dimensions must be positive and finite"));
+        return Err(ParseError::new(
+            c.line(),
+            "die dimensions must be positive and finite",
+        ));
     }
     let die = Die::new(w, h);
 
@@ -92,9 +95,9 @@ pub fn parse(input: &str, circuit: &Circuit) -> Result<Placement, ParseError> {
         let y = c.number()?;
         c.expect(")")?;
         c.expect(";")?;
-        let pin = *name_to_pin.get(name.text.as_str()).ok_or_else(|| {
-            ParseError::new(name.line, format!("unknown pin `{}`", name.text))
-        })?;
+        let pin = *name_to_pin
+            .get(name.text.as_str())
+            .ok_or_else(|| ParseError::new(name.line, format!("unknown pin `{}`", name.text)))?;
         if !die.contains(Point::new(x, y)) {
             return Err(ParseError::new(
                 name.line,
@@ -115,7 +118,10 @@ pub fn parse(input: &str, circuit: &Circuit) -> Result<Placement, ParseError> {
             loc.ok_or_else(|| {
                 ParseError::new(
                     0,
-                    format!("pin `{}` has no location", circuit.pin(tp_graph::PinId::new(i)).name),
+                    format!(
+                        "pin `{}` has no location",
+                        circuit.pin(tp_graph::PinId::new(i)).name
+                    ),
                 )
             })
         })
@@ -166,9 +172,10 @@ mod tests {
         let mut lines: Vec<&str> = text.lines().collect();
         let removed = lines.remove(3);
         assert!(removed.trim_start().starts_with('-'));
-        let fixed = lines
-            .join("\n")
-            .replace(&format!("PINS {} ;", circuit.num_pins()), &format!("PINS {} ;", circuit.num_pins() - 1));
+        let fixed = lines.join("\n").replace(
+            &format!("PINS {} ;", circuit.num_pins()),
+            &format!("PINS {} ;", circuit.num_pins() - 1),
+        );
         let err = parse(&fixed, &circuit).unwrap_err();
         assert!(err.message.contains("no location"));
     }

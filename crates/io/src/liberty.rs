@@ -69,7 +69,11 @@ pub fn write(library: &Library, name: &str) -> String {
         writeln!(out, "    drive_resistance : {};", cell.drive_resistance).expect("string write");
         writeln!(out, "    register : {};", cell.is_register).expect("string write");
         for (i, caps) in cell.input_caps.iter().enumerate() {
-            let pin = if cell.is_register { "d".to_string() } else { format!("a{i}") };
+            let pin = if cell.is_register {
+                "d".to_string()
+            } else {
+                format!("a{i}")
+            };
             writeln!(
                 out,
                 "    pin ({pin}) {{ capacitance : {} {} {} {}; }}",
@@ -107,7 +111,10 @@ fn parse_bool(c: &mut Cursor) -> Result<bool, ParseError> {
     match t.text.as_str() {
         "true" => Ok(true),
         "false" => Ok(false),
-        other => Err(ParseError::new(t.line, format!("expected bool, found `{other}`"))),
+        other => Err(ParseError::new(
+            t.line,
+            format!("expected bool, found `{other}`"),
+        )),
     }
 }
 
@@ -115,7 +122,10 @@ fn parse_bool(c: &mut Cursor) -> Result<bool, ParseError> {
 /// with an error instead of reaching those asserts.
 fn check_axis(axis: &[f32; LUT_AXIS], which: &str, line: usize) -> Result<(), ParseError> {
     if axis.iter().any(|v| !v.is_finite()) {
-        return Err(ParseError::new(line, format!("{which} axis has a non-finite entry")));
+        return Err(ParseError::new(
+            line,
+            format!("{which} axis has a non-finite entry"),
+        ));
     }
     if axis.windows(2).any(|w| w[0] >= w[1]) {
         return Err(ParseError::new(
@@ -148,7 +158,10 @@ fn parse_lut(c: &mut Cursor) -> Result<Lut, ParseError> {
         values.push(c.number()?);
     }
     if values.iter().any(|v| !v.is_finite()) {
-        return Err(ParseError::new(values_line, "table values must be finite".to_string()));
+        return Err(ParseError::new(
+            values_line,
+            "table values must be finite".to_string(),
+        ));
     }
     c.expect(";")?;
     c.expect("}")?;
@@ -237,21 +250,22 @@ pub fn parse(input: &str) -> Result<Library, ParseError> {
                             }
                         }
                     }
-                    let unwrap4 = |arr: [Option<Lut>; 4], what: &str| -> Result<[Lut; 4], ParseError> {
-                        let mut out = Vec::with_capacity(4);
-                        for (i, slot) in arr.into_iter().enumerate() {
-                            out.push(slot.ok_or_else(|| {
-                                ParseError::new(
-                                    key.line,
-                                    format!(
-                                        "arc in `{cell_name}` missing {what} table for {}",
-                                        corner_name(Corner::from_index(i))
-                                    ),
-                                )
-                            })?);
-                        }
-                        Ok(out.try_into().expect("exactly four"))
-                    };
+                    let unwrap4 =
+                        |arr: [Option<Lut>; 4], what: &str| -> Result<[Lut; 4], ParseError> {
+                            let mut out = Vec::with_capacity(4);
+                            for (i, slot) in arr.into_iter().enumerate() {
+                                out.push(slot.ok_or_else(|| {
+                                    ParseError::new(
+                                        key.line,
+                                        format!(
+                                            "arc in `{cell_name}` missing {what} table for {}",
+                                            corner_name(Corner::from_index(i))
+                                        ),
+                                    )
+                                })?);
+                            }
+                            Ok(out.try_into().expect("exactly four"))
+                        };
                     arcs.push(TimingArc::new(
                         unwrap4(delay, "delay")?,
                         unwrap4(slew, "slew")?,

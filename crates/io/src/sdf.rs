@@ -140,7 +140,10 @@ mod tests {
         let placement = place_circuit(&circuit, &PlacementConfig::default(), 1);
         let flow = run_full_flow(&circuit, &placement, &lib, &StaConfig::default());
         let sdf = write(&circuit, &lib, &flow.report);
-        for cap in sdf.split('(').filter(|s| s.contains(':') && s.contains(')')) {
+        for cap in sdf
+            .split('(')
+            .filter(|s| s.contains(':') && s.contains(')'))
+        {
             let triple = cap.split(')').next().expect("closing paren");
             let parts: Vec<f32> = triple
                 .split(':')

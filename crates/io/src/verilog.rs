@@ -80,7 +80,11 @@ pub fn write(circuit: &Circuit, library: &Library) -> String {
         let mut pins: Vec<String> = Vec::new();
         for (i, &ip) in cd.inputs.iter().enumerate() {
             let net = circuit.pin(ip).net.expect("validated circuit");
-            let pin_name = if cd.is_register { "d".to_string() } else { format!("a{i}") };
+            let pin_name = if cd.is_register {
+                "d".to_string()
+            } else {
+                format!("a{i}")
+            };
             pins.push(format!(".{pin_name}({})", net_name(net)));
         }
         let out_net = circuit.pin(cd.output).net.expect("validated circuit");
@@ -178,7 +182,10 @@ pub fn parse(input: &str, library: &Library) -> Result<Circuit, ParseError> {
                 let rhs = c.ident()?;
                 c.expect(";")?;
                 let po = *declared_outputs.get(&lhs.text).ok_or_else(|| {
-                    ParseError::new(lhs.line, format!("assign to undeclared output `{}`", lhs.text))
+                    ParseError::new(
+                        lhs.line,
+                        format!("assign to undeclared output `{}`", lhs.text),
+                    )
                 })?;
                 po_assign.push((po, rhs.text));
             }
@@ -198,7 +205,10 @@ pub fn parse(input: &str, library: &Library) -> Result<Circuit, ParseError> {
                         .text
                         .strip_prefix('.')
                         .ok_or_else(|| {
-                            ParseError::new(pin.line, format!("expected `.pin`, found `{}`", pin.text))
+                            ParseError::new(
+                                pin.line,
+                                format!("expected `.pin`, found `{}`", pin.text),
+                            )
                         })?
                         .to_string();
                     c.expect("(")?;
@@ -219,7 +229,10 @@ pub fn parse(input: &str, library: &Library) -> Result<Circuit, ParseError> {
                     })?;
                     sinks_of.entry(dn.clone()).or_default().push(d);
                     if driver_of.insert(qn.clone(), q).is_some() {
-                        return Err(ParseError::new(ty.line, format!("wire `{qn}` has two drivers")));
+                        return Err(ParseError::new(
+                            ty.line,
+                            format!("wire `{qn}` has two drivers"),
+                        ));
                     }
                 } else {
                     let (_, ins, out_pin) = b.add_cell(&inst, cell_type, ct.num_inputs);
@@ -234,7 +247,10 @@ pub fn parse(input: &str, library: &Library) -> Result<Circuit, ParseError> {
                         ParseError::new(ty.line, format!("instance `{inst}` missing .y"))
                     })?;
                     if driver_of.insert(yn.clone(), out_pin).is_some() {
-                        return Err(ParseError::new(ty.line, format!("wire `{yn}` has two drivers")));
+                        return Err(ParseError::new(
+                            ty.line,
+                            format!("wire `{yn}` has two drivers"),
+                        ));
                     }
                 }
             }
@@ -245,9 +261,9 @@ pub fn parse(input: &str, library: &Library) -> Result<Circuit, ParseError> {
         sinks_of.entry(wire).or_default().push(po);
     }
     for (wire, sinks) in sinks_of {
-        let driver = *driver_of.get(&wire).ok_or_else(|| {
-            ParseError::new(0, format!("wire `{wire}` has no driver"))
-        })?;
+        let driver = *driver_of
+            .get(&wire)
+            .ok_or_else(|| ParseError::new(0, format!("wire `{wire}` has no driver")))?;
         b.connect(driver, &sinks)
             .map_err(|e| ParseError::new(0, format!("wire `{wire}`: {e}")))?;
     }
@@ -296,8 +312,7 @@ endmodule
         for spec in [&BENCHMARKS[13], &BENCHMARKS[18], &BENCHMARKS[6]] {
             let circuit = generate(spec, &lib, &cfg);
             let text = write(&circuit, &lib);
-            let parsed = parse(&text, &lib)
-                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            let parsed = parse(&text, &lib).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
             assert_eq!(parsed.stats(), circuit.stats(), "{}", spec.name);
             assert_eq!(
                 parsed.topology().depth(),
@@ -324,7 +339,10 @@ endmodule
         assert_eq!(circuit.stats().endpoints, 2); // register D + output port
         let text = write(&circuit, &lib);
         assert!(text.contains("DFF_X1"));
-        assert_eq!(parse(&text, &lib).expect("round trip").stats(), circuit.stats());
+        assert_eq!(
+            parse(&text, &lib).expect("round trip").stats(),
+            circuit.stats()
+        );
     }
 
     #[test]

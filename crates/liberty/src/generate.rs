@@ -35,21 +35,141 @@ struct Proto {
 }
 
 const PROTOS: &[Proto] = &[
-    Proto { name: "INV_X1", inputs: 1, t0: 0.015, r_drive: 2.0, cap: 0.0012, inverting: true, is_register: false },
-    Proto { name: "INV_X2", inputs: 1, t0: 0.012, r_drive: 1.0, cap: 0.0022, inverting: true, is_register: false },
-    Proto { name: "BUF_X1", inputs: 1, t0: 0.030, r_drive: 1.8, cap: 0.0011, inverting: false, is_register: false },
-    Proto { name: "NAND2_X1", inputs: 2, t0: 0.020, r_drive: 2.2, cap: 0.0013, inverting: true, is_register: false },
-    Proto { name: "NOR2_X1", inputs: 2, t0: 0.024, r_drive: 2.6, cap: 0.0013, inverting: true, is_register: false },
-    Proto { name: "AND2_X1", inputs: 2, t0: 0.035, r_drive: 2.0, cap: 0.0012, inverting: false, is_register: false },
-    Proto { name: "OR2_X1", inputs: 2, t0: 0.038, r_drive: 2.1, cap: 0.0012, inverting: false, is_register: false },
-    Proto { name: "XOR2_X1", inputs: 2, t0: 0.045, r_drive: 2.4, cap: 0.0016, inverting: false, is_register: false },
-    Proto { name: "XNOR2_X1", inputs: 2, t0: 0.047, r_drive: 2.4, cap: 0.0016, inverting: true, is_register: false },
-    Proto { name: "NAND3_X1", inputs: 3, t0: 0.028, r_drive: 2.5, cap: 0.0013, inverting: true, is_register: false },
-    Proto { name: "NOR3_X1", inputs: 3, t0: 0.034, r_drive: 2.9, cap: 0.0013, inverting: true, is_register: false },
-    Proto { name: "AOI21_X1", inputs: 3, t0: 0.030, r_drive: 2.7, cap: 0.0014, inverting: true, is_register: false },
-    Proto { name: "OAI21_X1", inputs: 3, t0: 0.032, r_drive: 2.7, cap: 0.0014, inverting: true, is_register: false },
-    Proto { name: "MUX2_X1", inputs: 3, t0: 0.050, r_drive: 2.3, cap: 0.0014, inverting: false, is_register: false },
-    Proto { name: "DFF_X1", inputs: 1, t0: 0.0, r_drive: 1.5, cap: 0.0015, inverting: false, is_register: true },
+    Proto {
+        name: "INV_X1",
+        inputs: 1,
+        t0: 0.015,
+        r_drive: 2.0,
+        cap: 0.0012,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "INV_X2",
+        inputs: 1,
+        t0: 0.012,
+        r_drive: 1.0,
+        cap: 0.0022,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "BUF_X1",
+        inputs: 1,
+        t0: 0.030,
+        r_drive: 1.8,
+        cap: 0.0011,
+        inverting: false,
+        is_register: false,
+    },
+    Proto {
+        name: "NAND2_X1",
+        inputs: 2,
+        t0: 0.020,
+        r_drive: 2.2,
+        cap: 0.0013,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "NOR2_X1",
+        inputs: 2,
+        t0: 0.024,
+        r_drive: 2.6,
+        cap: 0.0013,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "AND2_X1",
+        inputs: 2,
+        t0: 0.035,
+        r_drive: 2.0,
+        cap: 0.0012,
+        inverting: false,
+        is_register: false,
+    },
+    Proto {
+        name: "OR2_X1",
+        inputs: 2,
+        t0: 0.038,
+        r_drive: 2.1,
+        cap: 0.0012,
+        inverting: false,
+        is_register: false,
+    },
+    Proto {
+        name: "XOR2_X1",
+        inputs: 2,
+        t0: 0.045,
+        r_drive: 2.4,
+        cap: 0.0016,
+        inverting: false,
+        is_register: false,
+    },
+    Proto {
+        name: "XNOR2_X1",
+        inputs: 2,
+        t0: 0.047,
+        r_drive: 2.4,
+        cap: 0.0016,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "NAND3_X1",
+        inputs: 3,
+        t0: 0.028,
+        r_drive: 2.5,
+        cap: 0.0013,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "NOR3_X1",
+        inputs: 3,
+        t0: 0.034,
+        r_drive: 2.9,
+        cap: 0.0013,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "AOI21_X1",
+        inputs: 3,
+        t0: 0.030,
+        r_drive: 2.7,
+        cap: 0.0014,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "OAI21_X1",
+        inputs: 3,
+        t0: 0.032,
+        r_drive: 2.7,
+        cap: 0.0014,
+        inverting: true,
+        is_register: false,
+    },
+    Proto {
+        name: "MUX2_X1",
+        inputs: 3,
+        t0: 0.050,
+        r_drive: 2.3,
+        cap: 0.0014,
+        inverting: false,
+        is_register: false,
+    },
+    Proto {
+        name: "DFF_X1",
+        inputs: 1,
+        t0: 0.0,
+        r_drive: 1.5,
+        cap: 0.0015,
+        inverting: false,
+        is_register: true,
+    },
 ];
 
 /// Per-corner multipliers applied to the late/rise surface.
@@ -150,7 +270,10 @@ mod tests {
         for (ca, cb) in a.cells().iter().zip(b.cells()) {
             assert_eq!(ca.name, cb.name);
             for (aa, ab) in ca.arcs.iter().zip(&cb.arcs) {
-                assert_eq!(aa.delay(Corner::LateRise).values(), ab.delay(Corner::LateRise).values());
+                assert_eq!(
+                    aa.delay(Corner::LateRise).values(),
+                    ab.delay(Corner::LateRise).values()
+                );
             }
         }
     }

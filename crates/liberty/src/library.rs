@@ -110,7 +110,10 @@ impl Library {
 
     /// The `type_id` for a cell name, if present.
     pub fn type_id(&self, name: &str) -> Option<u32> {
-        self.cells.iter().position(|c| c.name == name).map(|i| i as u32)
+        self.cells
+            .iter()
+            .position(|c| c.name == name)
+            .map(|i| i as u32)
     }
 
     /// Number of cell types.

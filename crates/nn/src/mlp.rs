@@ -76,7 +76,10 @@ mod tests {
         let mlp = Mlp::new(27, &[64, 64, 64], 8, &mut rng);
         assert_eq!(mlp.layers.len(), 4);
         // 27*64+64 + 64*64+64 + 64*64+64 + 64*8+8
-        assert_eq!(mlp.num_parameters(), 27 * 64 + 64 + 2 * (64 * 64 + 64) + 64 * 8 + 8);
+        assert_eq!(
+            mlp.num_parameters(),
+            27 * 64 + 64 + 2 * (64 * 64 + 64) + 64 * 8 + 8
+        );
     }
 
     #[test]

@@ -44,10 +44,9 @@ impl fmt::Display for SerializeError {
                 f,
                 "weight file shape mismatch: stored {stored}, module expects {expected}"
             ),
-            SerializeError::TooLarge { count } => write!(
-                f,
-                "count {count} exceeds the TPW1 format's u32 field"
-            ),
+            SerializeError::TooLarge { count } => {
+                write!(f, "count {count} exceeds the TPW1 format's u32 field")
+            }
         }
     }
 }

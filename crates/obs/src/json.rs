@@ -202,8 +202,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             *pos += 1;
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| "non-utf8 number".to_string())?;
+    let text =
+        std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 number".to_string())?;
     // Reject the shapes from_str accepts but JSON does not.
     if text.is_empty()
         || text == "-"
@@ -256,10 +256,9 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         if !hex.iter().all(u8::is_ascii_hexdigit) {
                             return Err("invalid \\u escape".to_string());
                         }
-                        let hex =
-                            std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "invalid \\u escape")?;
+                        let hex = std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
+                        let code =
+                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
                         // Surrogates are replaced rather than paired — no
                         // request field carries astral-plane text.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));

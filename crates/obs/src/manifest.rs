@@ -206,8 +206,10 @@ mod tests {
         assert_eq!(r.phase_total_ns(), 95);
         // The acceptance bound the workspace holds itself to: phase time
         // sums to within 10% of the total wall time.
-        assert!((r.phase_total_ns() as f64 - r.total_wall_ns as f64).abs()
-            <= 0.1 * r.total_wall_ns as f64);
+        assert!(
+            (r.phase_total_ns() as f64 - r.total_wall_ns as f64).abs()
+                <= 0.1 * r.total_wall_ns as f64
+        );
     }
 
     #[test]

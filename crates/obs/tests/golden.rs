@@ -55,7 +55,10 @@ fn fixed_events() -> Vec<TraceEvent> {
             dur_ns: 4_000,
             tid: 0,
             depth: 0,
-            args: vec![("epoch", ArgValue::UInt(0)), ("loss", ArgValue::Float(1.25))],
+            args: vec![
+                ("epoch", ArgValue::UInt(0)),
+                ("loss", ArgValue::Float(1.25)),
+            ],
         },
     ]
 }
@@ -70,8 +73,7 @@ fn check_golden(file: &str, actual: &str) {
     let expected = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden file {}: {e}", path.display()));
     assert_eq!(
-        actual,
-        expected,
+        actual, expected,
         "{file} drifted from its golden copy; re-bless with TP_OBS_BLESS=1 if intentional"
     );
 }

@@ -535,7 +535,10 @@ fn execute(chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     job.run(); // the submitter works too
     let mut done = lock_recover(&job.done);
     while !*done {
-        done = job.done_cv.wait(done).unwrap_or_else(PoisonError::into_inner);
+        done = job
+            .done_cv
+            .wait(done)
+            .unwrap_or_else(PoisonError::into_inner);
     }
     drop(done);
     let payload = lock_recover(&job.panic).take();
@@ -817,7 +820,9 @@ mod tests {
     fn nested_regions_run_inline_without_deadlock() {
         let _guard = override_lock();
         set_threads(4);
-        let out = map_items(8, |i| map_items(8, move |j| i * 8 + j).iter().sum::<usize>());
+        let out = map_items(8, |i| {
+            map_items(8, move |j| i * 8 + j).iter().sum::<usize>()
+        });
         set_threads(0);
         let expect: usize = (0..64).sum();
         assert_eq!(out.iter().sum::<usize>(), expect);
@@ -837,7 +842,10 @@ mod tests {
     fn observer_sees_region_shape() {
         static ITEMS: AtomicU64 = AtomicU64::new(0);
         fn hook(s: &RegionStats) {
-            assert!(s.max_chunk - s.min_chunk <= 1, "static chunking is balanced");
+            assert!(
+                s.max_chunk - s.min_chunk <= 1,
+                "static chunking is balanced"
+            );
             ITEMS.fetch_add(s.items as u64, Ordering::Relaxed);
         }
         // First install wins; either way a hook observing regions exists.
@@ -861,8 +869,7 @@ mod tests {
         assert_eq!(static_str.message, "boom");
         let formatted = catch_isolated(|| -> u32 { panic!("cell {}", 3) }).unwrap_err();
         assert_eq!(formatted.message, "cell 3");
-        let opaque =
-            catch_isolated(|| -> u32 { std::panic::panic_any(42u64) }).unwrap_err();
+        let opaque = catch_isolated(|| -> u32 { std::panic::panic_any(42u64) }).unwrap_err();
         assert_eq!(opaque.message, "non-string panic payload");
         assert_eq!(formatted.to_string(), "panic: cell 3");
     }
@@ -915,9 +922,15 @@ mod tests {
         // Below two grains: inline, regardless of item count.
         assert_eq!(m.plan(1000, units_for_grains(1.5)), Plan::Inline);
         // Ten grains of work but only 4 workers: one chunk per worker.
-        assert_eq!(m.plan(1000, units_for_grains(10.0)), Plan::Fork { chunks: 4 });
+        assert_eq!(
+            m.plan(1000, units_for_grains(10.0)),
+            Plan::Fork { chunks: 4 }
+        );
         // Three grains: chunk count tracks the work, not the worker count.
-        assert_eq!(m.plan(1000, units_for_grains(3.0)), Plan::Fork { chunks: 3 });
+        assert_eq!(
+            m.plan(1000, units_for_grains(3.0)),
+            Plan::Fork { chunks: 3 }
+        );
         // Indivisible regions stay inline no matter how costly.
         assert_eq!(m.plan(1, units_for_grains(100.0)), Plan::Inline);
         // Chunks never exceed items.

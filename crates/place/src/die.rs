@@ -35,7 +35,10 @@ impl Die {
     ///
     /// Panics if either dimension is not strictly positive.
     pub fn new(width: f32, height: f32) -> Die {
-        assert!(width > 0.0 && height > 0.0, "die dimensions must be positive");
+        assert!(
+            width > 0.0 && height > 0.0,
+            "die dimensions must be positive"
+        );
         Die { width, height }
     }
 

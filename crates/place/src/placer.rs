@@ -8,8 +8,8 @@
 //! about: connected cells are near each other, wirelength correlates with
 //! logical distance, and I/O nets stretch to the periphery.
 
-use tp_rng::{Rng, StdRng};
 use tp_graph::{Circuit, PinKind};
+use tp_rng::{Rng, StdRng};
 
 use crate::{Die, Placement, Point};
 
@@ -50,12 +50,21 @@ impl Default for PlacementConfig {
 /// die edge.
 pub fn place_circuit(circuit: &Circuit, config: &PlacementConfig, seed: u64) -> Placement {
     let mut rng = StdRng::seed_from_u64(seed);
-    let die = Die::for_cells(circuit.num_cells().max(4), config.cell_area, config.utilization);
+    let die = Die::for_cells(
+        circuit.num_cells().max(4),
+        config.cell_area,
+        config.utilization,
+    );
 
     // --- cell-level connectivity (via nets) ---
     let nc = circuit.num_cells();
     let mut cell_pos: Vec<Point> = (0..nc)
-        .map(|_| Point::new(rng.gen_range(0.0..die.width), rng.gen_range(0.0..die.height)))
+        .map(|_| {
+            Point::new(
+                rng.gen_range(0.0..die.width),
+                rng.gen_range(0.0..die.height),
+            )
+        })
         .collect();
     // Port anchor positions around the boundary, one per port pin.
     let num_ports = circuit
@@ -158,8 +167,7 @@ pub fn place_circuit(circuit: &Circuit, config: &PlacementConfig, seed: u64) -> 
                 // deterministic small spread per pin, keyed by pin kind/index
                 let k = p.index() as f32;
                 let dx = config.pin_spread * ((k * 0.7548).fract() - 0.5);
-                let dy = config.pin_spread
-                    * ((k * 0.5698).fract() - 0.5)
+                let dy = config.pin_spread * ((k * 0.5698).fract() - 0.5)
                     + if matches!(pd.kind, PinKind::CellOutput) {
                         config.pin_spread * 0.5
                     } else {

@@ -49,7 +49,13 @@ pub struct RoutedNet {
 impl RoutedNet {
     /// Degrades a driver slew across the net toward sink `i` at `corner`
     /// using the PERI square-law model.
-    pub fn degrade_slew(&self, config: &RoutingConfig, sink: usize, corner: Corner, slew_in: f32) -> f32 {
+    pub fn degrade_slew(
+        &self,
+        config: &RoutingConfig,
+        sink: usize,
+        corner: Corner,
+        slew_in: f32,
+    ) -> f32 {
         let d = self.sink_delays[sink][corner.index()];
         (slew_in * slew_in + (config.slew_k * d).powi(2)).sqrt()
     }
@@ -101,7 +107,12 @@ impl Routing {
 }
 
 /// Capacitance of a sink pin at each corner.
-fn sink_pin_caps(circuit: &Circuit, library: &Library, pin: tp_graph::PinId, config: &RoutingConfig) -> [f32; 4] {
+fn sink_pin_caps(
+    circuit: &Circuit,
+    library: &Library,
+    pin: tp_graph::PinId,
+    config: &RoutingConfig,
+) -> [f32; 4] {
     let pd = circuit.pin(pin);
     match (pd.kind, pd.cell) {
         (PinKind::CellInput, Some(cell)) => {
@@ -251,7 +262,10 @@ mod tests {
         let cfg = RoutingConfig::default();
         let r = route_circuit(&c, &p, &lib, &cfg);
         // net 0 drives one INV input: load must be at least that pin cap
-        let cap = lib.cell_by_name("INV_X1").unwrap().input_cap(0, Corner::LateRise);
+        let cap = lib
+            .cell_by_name("INV_X1")
+            .unwrap()
+            .input_cap(0, Corner::LateRise);
         let n0 = r.net(tp_graph::NetId::new(0));
         assert!(n0.total_cap[Corner::LateRise.index()] >= cap);
     }

@@ -115,7 +115,11 @@ mod tests {
         let delays = rc.elmore_delays();
         // R = 0.01 kΩ; downstream cap at sink = 0.002 + half wire 0.001 = 0.003
         let expect = 0.01 * 0.003;
-        assert!((delays[1] - expect).abs() < 1e-7, "{} vs {expect}", delays[1]);
+        assert!(
+            (delays[1] - expect).abs() < 1e-7,
+            "{} vs {expect}",
+            delays[1]
+        );
         assert!((rc.total_cap() - (0.002 + 0.002)).abs() < 1e-7);
     }
 

@@ -270,9 +270,9 @@ where
                     .fork(u64::from(attempt)),
             };
             match config.fault_plan.cell_fault(spec.cell, attempt) {
-                Some(CellFault::Panic) =>
-
-                    panic!("injected panic at cell {} attempt {attempt}", spec.cell),
+                Some(CellFault::Panic) => {
+                    panic!("injected panic at cell {} attempt {attempt}", spec.cell)
+                }
                 Some(CellFault::Hang { ms }) => {
                     // An injected stall standing in for a wedged cell —
                     // the deadline path's test input.
@@ -368,7 +368,10 @@ where
         if rec.cell != i as u64 || rec.cell >= total {
             return Err(SweepError::Journal(JournalError::Io(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
-                format!("journal is not a grid prefix at record {i} (cell {})", rec.cell),
+                format!(
+                    "journal is not a grid prefix at record {i} (cell {})",
+                    rec.cell
+                ),
             ))));
         }
     }
@@ -501,7 +504,10 @@ mod tests {
                 assert_eq!(ms, backoff_ms(&config, cell, attempt), "pure function");
                 let exp = (attempt - 2).min(16);
                 let cap = (config.backoff_base_ms << exp).min(config.backoff_cap_ms);
-                assert!(ms >= cap / 2 && ms <= cap, "attempt {attempt}: {ms} vs cap {cap}");
+                assert!(
+                    ms >= cap / 2 && ms <= cap,
+                    "attempt {attempt}: {ms} vs cap {cap}"
+                );
                 assert!(cap >= prev_cap, "cap schedule is monotone");
                 prev_cap = cap;
             }
@@ -533,10 +539,14 @@ mod tests {
     #[test]
     fn config_from_env_reads_knobs() {
         // Env-var mutation: serialized by running in one test, restored after.
-        let keep: Vec<(&str, Option<String>)> = ["TP_CELL_RETRIES", "TP_CELL_BACKOFF_MS", "TP_CELL_DEADLINE_MS"]
-            .into_iter()
-            .map(|k| (k, std::env::var(k).ok()))
-            .collect();
+        let keep: Vec<(&str, Option<String>)> = [
+            "TP_CELL_RETRIES",
+            "TP_CELL_BACKOFF_MS",
+            "TP_CELL_DEADLINE_MS",
+        ]
+        .into_iter()
+        .map(|k| (k, std::env::var(k).ok()))
+        .collect();
         std::env::set_var("TP_CELL_RETRIES", "5");
         std::env::set_var("TP_CELL_BACKOFF_MS", "2");
         std::env::set_var("TP_CELL_DEADLINE_MS", "1500");

@@ -89,7 +89,10 @@ impl fmt::Display for GridError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GridError::UnknownDesign(name) => {
-                write!(f, "unknown design {name:?}: not in the Table-1 benchmark suite")
+                write!(
+                    f,
+                    "unknown design {name:?}: not in the Table-1 benchmark suite"
+                )
             }
             GridError::EmptyAxis(axis) => write!(f, "grid axis {axis:?} is empty"),
             GridError::BadValue { axis, value } => {
@@ -345,13 +348,28 @@ mod tests {
         assert_eq!(empty.validate(), Err(GridError::EmptyAxis("seeds")));
         let mut nan = grid();
         nan.clock_periods_ns.push(f32::NAN);
-        assert!(matches!(nan.validate(), Err(GridError::BadValue { axis: "clock_periods_ns", .. })));
+        assert!(matches!(
+            nan.validate(),
+            Err(GridError::BadValue {
+                axis: "clock_periods_ns",
+                ..
+            })
+        ));
         let mut util = grid();
         util.utilizations.push(1.5);
-        assert!(matches!(util.validate(), Err(GridError::BadValue { axis: "utilizations", .. })));
+        assert!(matches!(
+            util.validate(),
+            Err(GridError::BadValue {
+                axis: "utilizations",
+                ..
+            })
+        ));
         let mut scale = grid();
         scale.scales.push(0.0);
-        assert!(matches!(scale.validate(), Err(GridError::BadValue { axis: "scales", .. })));
+        assert!(matches!(
+            scale.validate(),
+            Err(GridError::BadValue { axis: "scales", .. })
+        ));
     }
 
     #[test]

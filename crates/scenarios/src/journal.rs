@@ -350,7 +350,10 @@ impl Journal {
     ///
     /// [`JournalError::MismatchedSweep`] on fingerprint mismatch, or any
     /// I/O failure.
-    pub fn open(path: &Path, header: &SweepHeader) -> Result<(Journal, Vec<CellRecord>), JournalError> {
+    pub fn open(
+        path: &Path,
+        header: &SweepHeader,
+    ) -> Result<(Journal, Vec<CellRecord>), JournalError> {
         let bytes = match fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),

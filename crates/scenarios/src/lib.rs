@@ -47,8 +47,8 @@ pub mod report;
 pub mod serve_eval;
 
 pub use engine::{
-    backoff_ms, ground_truth_evaluator, run_sweep, CellCtx, SweepConfig, SweepError,
-    SweepOutcome, REPORT_FILE,
+    backoff_ms, ground_truth_evaluator, run_sweep, CellCtx, SweepConfig, SweepError, SweepOutcome,
+    REPORT_FILE,
 };
 pub use grid::{CellSpec, CornerSet, GridError, SweepGrid};
 pub use journal::{

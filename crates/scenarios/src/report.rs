@@ -28,10 +28,22 @@ fn push_f32_array(out: &mut String, values: &[f32]) {
 
 /// Renders the full report document.
 pub fn render_report(grid: &SweepGrid, config: &SweepConfig, records: &[CellRecord]) -> String {
-    let completed = records.iter().filter(|r| r.status == CellStatus::Completed).count();
-    let quarantined = records.iter().filter(|r| r.status == CellStatus::Quarantined).count();
-    let skipped = records.iter().filter(|r| r.status == CellStatus::Skipped).count();
-    let retries: u64 = records.iter().map(|r| u64::from(r.attempts.saturating_sub(1))).sum();
+    let completed = records
+        .iter()
+        .filter(|r| r.status == CellStatus::Completed)
+        .count();
+    let quarantined = records
+        .iter()
+        .filter(|r| r.status == CellStatus::Quarantined)
+        .count();
+    let skipped = records
+        .iter()
+        .filter(|r| r.status == CellStatus::Skipped)
+        .count();
+    let retries: u64 = records
+        .iter()
+        .map(|r| u64::from(r.attempts.saturating_sub(1)))
+        .sum();
     let overruns = records.iter().filter(|r| r.deadline_overrun).count();
 
     let mut out = String::with_capacity(1024 + records.len() * 160);
@@ -102,7 +114,10 @@ pub fn render_report(grid: &SweepGrid, config: &SweepConfig, records: &[CellReco
         ));
     }
     out.push_str("  ]\n}\n");
-    debug_assert!(tp_obs::json::validate(&out).is_ok(), "report must be valid JSON");
+    debug_assert!(
+        tp_obs::json::validate(&out).is_ok(),
+        "report must be valid JSON"
+    );
     out
 }
 
@@ -192,7 +207,10 @@ mod tests {
             &path,
             &grid,
             &config,
-            &[record(0, CellStatus::Completed), record(1, CellStatus::Completed)],
+            &[
+                record(0, CellStatus::Completed),
+                record(1, CellStatus::Completed),
+            ],
         )
         .unwrap();
         let second = std::fs::read(&path).unwrap();

@@ -56,7 +56,12 @@ pub fn metrics_from_slacks(
         // zero keeps the record finite.
         wns = 0.0;
     }
-    CellMetrics { wns, tns, aux: 0.0, pins }
+    CellMetrics {
+        wns,
+        tns,
+        aux: 0.0,
+        pins,
+    }
 }
 
 /// The `register` spec a sweep cell ships to a server: same parameters
@@ -133,7 +138,8 @@ fn f32_slice(v: &JsonValue, key: &str, context: &str) -> Vec<f32> {
         .map(|x| {
             // The server widened each f32 exactly into f64; narrowing
             // recovers the identical bits.
-            x.as_f64().unwrap_or_else(|| panic!("{context}: non-number in {key:?}")) as f32
+            x.as_f64()
+                .unwrap_or_else(|| panic!("{context}: non-number in {key:?}")) as f32
         })
         .collect()
 }

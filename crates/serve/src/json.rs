@@ -10,8 +10,10 @@ mod tests {
 
     #[test]
     fn parses_the_protocol_shapes() {
-        let v = parse(r#"{"op":"move_pins","design":"usb","moves":[{"pin":3,"x":1.5,"y":-2e-1}],"id":7}"#)
-            .expect("valid");
+        let v = parse(
+            r#"{"op":"move_pins","design":"usb","moves":[{"pin":3,"x":1.5,"y":-2e-1}],"id":7}"#,
+        )
+        .expect("valid");
         assert_eq!(v.get("op").and_then(JsonValue::as_str), Some("move_pins"));
         assert_eq!(v.get("id").and_then(JsonValue::as_u64), Some(7));
         let moves = v.get("moves").and_then(JsonValue::as_array).expect("array");
@@ -28,9 +30,27 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in [
-            "", "{", "}", "[1,", "{\"a\"}", "{\"a\":}", "nul", "tru", "01x", "-", "1.",
-            ".5", "1e", "+4", "\"abc", "\"\\q\"", "{\"a\":1,}", "[1]extra", "nan",
-            "Infinity", "1e999",
+            "",
+            "{",
+            "}",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "nul",
+            "tru",
+            "01x",
+            "-",
+            "1.",
+            ".5",
+            "1e",
+            "+4",
+            "\"abc",
+            "\"\\q\"",
+            "{\"a\":1,}",
+            "[1]extra",
+            "nan",
+            "Infinity",
+            "1e999",
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }

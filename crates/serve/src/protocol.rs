@@ -206,7 +206,9 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
             }
             let seed = match v.get("seed") {
                 None => 0,
-                Some(s) => s.as_u64().ok_or("field \"seed\" must be a non-negative integer")?,
+                Some(s) => s
+                    .as_u64()
+                    .ok_or("field \"seed\" must be a non-negative integer")?,
             };
             let utilization = optional_finite_f32(&v, "utilization", 0.7)?;
             // `optional_finite_f32` already rejected NaN/inf.
@@ -224,7 +226,9 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
             let depth = match v.get("depth") {
                 None => None,
                 Some(d) => {
-                    let d = d.as_u64().ok_or("field \"depth\" must be a non-negative integer")?;
+                    let d = d
+                        .as_u64()
+                        .ok_or("field \"depth\" must be a non-negative integer")?;
                     Some(
                         usize::try_from(d)
                             .map_err(|_| format!("field \"depth\" {d} overflows usize"))?,
@@ -244,7 +248,10 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
             }
         }
         "reload" => Request::Reload {
-            path: v.get("path").and_then(JsonValue::as_str).map(str::to_string),
+            path: v
+                .get("path")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string),
         },
         "stats" => Request::Stats,
         "shutdown" => Request::Shutdown,
@@ -299,7 +306,10 @@ pub fn register_line(id: Option<u64>, spec: &RegisterSpec) -> String {
     line.push_str(&format!("\"design\":{},", escape(&spec.design)));
     line.push_str(&format!("\"scale\":{},", fmt_f64(spec.scale)));
     line.push_str(&format!("\"seed\":{},", spec.seed));
-    line.push_str(&format!("\"utilization\":{},", fmt_f64(f64::from(spec.utilization))));
+    line.push_str(&format!(
+        "\"utilization\":{},",
+        fmt_f64(f64::from(spec.utilization))
+    ));
     line.push_str(&format!(
         "\"clock_period_ns\":{}",
         fmt_f64(f64::from(spec.clock_period_ns))
@@ -336,7 +346,12 @@ mod tests {
         assert_eq!(e.id, Some(3));
         assert_eq!(e.request, Request::Ping);
         let e = parse_request(r#"{"op":"predict","design":"usb"}"#).expect("valid");
-        assert_eq!(e.request, Request::Predict { design: "usb".into() });
+        assert_eq!(
+            e.request,
+            Request::Predict {
+                design: "usb".into()
+            }
+        );
         let e = parse_request(
             r#"{"op":"move_pins","design":"usb","moves":[{"pin":5,"x":1.0,"y":2.0}]}"#,
         )
@@ -344,7 +359,14 @@ mod tests {
         match e.request {
             Request::MovePins { design, moves } => {
                 assert_eq!(design, "usb");
-                assert_eq!(moves, vec![PinMove { pin: 5, x: 1.0, y: 2.0 }]);
+                assert_eq!(
+                    moves,
+                    vec![PinMove {
+                        pin: 5,
+                        x: 1.0,
+                        y: 2.0
+                    }]
+                );
             }
             other => panic!("wrong request: {other:?}"),
         }
@@ -354,8 +376,14 @@ mod tests {
             (r#"{"op":"list_designs"}"#, Request::ListDesigns),
             (r#"{"op":"stats"}"#, Request::Stats),
             (r#"{"op":"shutdown"}"#, Request::Shutdown),
-            (r#"{"op":"slack","design":"d"}"#, Request::Slack { design: "d".into() }),
-            (r#"{"op":"debug_panic"}"#, Request::DebugPanic { design: None }),
+            (
+                r#"{"op":"slack","design":"d"}"#,
+                Request::Slack { design: "d".into() },
+            ),
+            (
+                r#"{"op":"debug_panic"}"#,
+                Request::DebugPanic { design: None },
+            ),
         ] {
             assert_eq!(parse_request(line).expect("valid").request, want);
         }
@@ -386,8 +414,14 @@ mod tests {
             r#"{"op":"move_pins","design":"d","moves":[{"pin":0,"x":0,"y":-1e39}]}"#,
         ] {
             let err = parse_request(bad).expect_err("overflowing coord must be rejected");
-            assert!(err.contains("overflows f32"), "diagnostic names the cast: {err}");
-            assert!(err.contains("moves[0]"), "diagnostic names the index: {err}");
+            assert!(
+                err.contains("overflows f32"),
+                "diagnostic names the cast: {err}"
+            );
+            assert!(
+                err.contains("moves[0]"),
+                "diagnostic names the index: {err}"
+            );
         }
         // Values at the very edge of f32 still pass.
         let line = format!(
@@ -488,7 +522,10 @@ mod tests {
             ok_reply(None, ""),
             error_reply(Some(1), error_kind::DEADLINE, "elapsed 120ms > 100ms"),
             error_reply(None, error_kind::BAD_REQUEST, "weird \"quotes\"\n"),
-            ok_reply(None, &format!("\"setup\":{}", f32_array(&[1.5, -0.25, f32::MIN_POSITIVE]))),
+            ok_reply(
+                None,
+                &format!("\"setup\":{}", f32_array(&[1.5, -0.25, f32::MIN_POSITIVE])),
+            ),
         ] {
             tp_obs::json::validate(&reply).expect("reply must be valid JSON");
         }
@@ -501,7 +538,11 @@ mod tests {
         let parsed = crate::json::parse(&rendered).expect("valid");
         let arr = parsed.as_array().expect("array");
         for (v, p) in vals.iter().zip(arr) {
-            assert_eq!(f64::from(*v), p.as_f64().expect("num"), "exact f32→f64 roundtrip");
+            assert_eq!(
+                f64::from(*v),
+                p.as_f64().expect("num"),
+                "exact f32→f64 roundtrip"
+            );
         }
     }
 }

@@ -44,7 +44,11 @@ impl CachedDesign {
     /// ECO-mutable tensors get their own storage so concurrent sessions
     /// sharing this cache entry stay independent.
     pub fn instantiate(&self) -> (DesignGraph, Placement, PropPlan) {
-        (self.design.deep_clone(), self.placement.clone(), self.plan.clone())
+        (
+            self.design.deep_clone(),
+            self.placement.clone(),
+            self.plan.clone(),
+        )
     }
 }
 
@@ -162,7 +166,11 @@ impl DesignRegistry {
         )
         .map_err(|e| format!("design failed validation: {e}"))?;
         let plan = PropPlan::build(&design);
-        Ok(CachedDesign { design, placement, plan })
+        Ok(CachedDesign {
+            design,
+            placement,
+            plan,
+        })
     }
 }
 
@@ -186,15 +194,40 @@ mod tests {
     fn content_hash_ignores_name_and_keys_on_parameters() {
         let a = spec("a");
         let b = spec("b");
-        assert_eq!(content_hash(&a), content_hash(&b), "name must not affect the hash");
+        assert_eq!(
+            content_hash(&a),
+            content_hash(&b),
+            "name must not affect the hash"
+        );
         for tweaked in [
-            RegisterSpec { design: "usb".into(), ..a.clone() },
-            RegisterSpec { scale: 0.02, ..a.clone() },
-            RegisterSpec { seed: 12, ..a.clone() },
-            RegisterSpec { utilization: 0.6, ..a.clone() },
-            RegisterSpec { clock_period_ns: 1.5, ..a.clone() },
-            RegisterSpec { depth: None, ..a.clone() },
-            RegisterSpec { depth: Some(7), ..a.clone() },
+            RegisterSpec {
+                design: "usb".into(),
+                ..a.clone()
+            },
+            RegisterSpec {
+                scale: 0.02,
+                ..a.clone()
+            },
+            RegisterSpec {
+                seed: 12,
+                ..a.clone()
+            },
+            RegisterSpec {
+                utilization: 0.6,
+                ..a.clone()
+            },
+            RegisterSpec {
+                clock_period_ns: 1.5,
+                ..a.clone()
+            },
+            RegisterSpec {
+                depth: None,
+                ..a.clone()
+            },
+            RegisterSpec {
+                depth: Some(7),
+                ..a.clone()
+            },
         ] {
             assert_ne!(content_hash(&a), content_hash(&tweaked), "{tweaked:?}");
         }
@@ -216,7 +249,10 @@ mod tests {
     fn unknown_benchmark_is_rejected_without_caching() {
         let registry = DesignRegistry::new(0);
         let err = registry
-            .get_or_build(&RegisterSpec { design: "not-a-benchmark".into(), ..spec("a") })
+            .get_or_build(&RegisterSpec {
+                design: "not-a-benchmark".into(),
+                ..spec("a")
+            })
             .expect_err("unknown benchmark must fail");
         assert!(err.contains("unknown benchmark"), "{err}");
         assert!(registry.is_empty());
@@ -232,11 +268,23 @@ mod tests {
         let die = *p1.die();
         g1.apply_moves(
             &mut p1,
-            &[tp_data::PinMove { pin: 0, x: die.width * 0.9, y: die.height * 0.9 }],
+            &[tp_data::PinMove {
+                pin: 0,
+                x: die.width * 0.9,
+                y: die.height * 0.9,
+            }],
         )
         .expect("valid move");
         assert_ne!(g1.pin_features.to_vec(), before, "the move must land in g1");
-        assert_eq!(g2.pin_features.to_vec(), before, "g2 storage must be independent");
-        assert_eq!(cached.design.pin_features.to_vec(), before, "cache stays pristine");
+        assert_eq!(
+            g2.pin_features.to_vec(),
+            before,
+            "g2 storage must be independent"
+        );
+        assert_eq!(
+            cached.design.pin_features.to_vec(),
+            before,
+            "cache stays pristine"
+        );
     }
 }

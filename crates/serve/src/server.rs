@@ -426,7 +426,10 @@ fn target_design(request: &Request) -> Option<&str> {
 }
 
 fn process_request(inner: &ServerInner, line: &str) -> Outcome {
-    let request_index = inner.counters.requests_total.fetch_add(1, Ordering::Relaxed);
+    let request_index = inner
+        .counters
+        .requests_total
+        .fetch_add(1, Ordering::Relaxed);
     tp_obs::metrics::count("serve.requests", 1);
     let fault = inner.config.faults.request_fault(request_index);
 

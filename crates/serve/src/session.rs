@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use tp_data::{DesignGraph, PinMove};
-use tp_gnn::{IncrementalGnn, PropPlan, Prediction, UpdateStats};
+use tp_gnn::{IncrementalGnn, Prediction, PropPlan, UpdateStats};
 use tp_graph::GraphError;
 use tp_place::Placement;
 
@@ -134,7 +134,11 @@ mod tests {
 
     fn fixture() -> (DesignGraph, Placement) {
         let lib = Library::synthetic_sky130(0);
-        let cfg = GeneratorConfig { scale: 0.01, seed: 11, depth: Some(6) };
+        let cfg = GeneratorConfig {
+            scale: 0.01,
+            seed: 11,
+            depth: Some(6),
+        };
         let circuit = generate(&BENCHMARKS[18], &lib, &cfg); // spm
         let placement = place_circuit(&circuit, &PlacementConfig::default(), 1);
         let sta = StaConfig::default();
@@ -144,7 +148,13 @@ mod tests {
     }
 
     fn small_config() -> ModelConfig {
-        ModelConfig { embed_dim: 4, prop_dim: 6, hidden: vec![8], seed: 1, ablation: Default::default() }
+        ModelConfig {
+            embed_dim: 4,
+            prop_dim: 6,
+            hidden: vec![8],
+            seed: 1,
+            ablation: Default::default(),
+        }
     }
 
     #[test]
@@ -155,7 +165,11 @@ mod tests {
         let die = *placement.die();
         let mut session = DesignSession::new("spm", &store.current(), design, placement);
         session
-            .apply_moves(&[PinMove { pin: 2, x: die.width * 0.4, y: die.height * 0.6 }])
+            .apply_moves(&[PinMove {
+                pin: 2,
+                x: die.width * 0.4,
+                y: die.height * 0.6,
+            }])
             .expect("valid move");
         let before = session.prediction().arrival.to_vec();
         assert!(!session.needs_rebuild(&store.current()));
@@ -178,7 +192,11 @@ mod tests {
             lr: 1e-3,
             rng_state: [0; 5],
             model: blob,
-            optimizer: tp_nn::optim::AdamState { m: Vec::new(), v: Vec::new(), t: 0 },
+            optimizer: tp_nn::optim::AdamState {
+                m: Vec::new(),
+                v: Vec::new(),
+                t: 0,
+            },
         };
         let dir = std::env::temp_dir().join(format!("tp_serve_session_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

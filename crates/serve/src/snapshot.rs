@@ -126,11 +126,7 @@ impl SnapshotStore {
         self.install(ckpt, &path.display().to_string())
     }
 
-    fn install(
-        &self,
-        ckpt: Checkpoint,
-        source: &str,
-    ) -> Result<Arc<ModelSnapshot>, SnapshotError> {
+    fn install(&self, ckpt: Checkpoint, source: &str) -> Result<Arc<ModelSnapshot>, SnapshotError> {
         // Stage into a model that is NOT serving; load_parameters is
         // all-or-nothing, so a shape mismatch leaves nothing half-written.
         let staged = TimingGnn::new(&self.config);
@@ -178,12 +174,17 @@ mod tests {
             lr: 1e-3,
             rng_state: [1, 2, 3, 4, 5],
             model: blob,
-            optimizer: AdamState { m: Vec::new(), v: Vec::new(), t: 0 },
+            optimizer: AdamState {
+                m: Vec::new(),
+                v: Vec::new(),
+                t: 0,
+            },
         }
     }
 
     fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("tp_serve_snapshot_{name}_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("tp_serve_snapshot_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
@@ -208,9 +209,15 @@ mod tests {
         let err = tp_nn::save_parameters(&TimingGnn::new(&cfg).parameters(), &mut FailingWriter)
             .expect_err("failing writer must surface an error");
         let snap_err = SnapshotError::from(err);
-        assert!(matches!(snap_err, SnapshotError::Serialize(_)), "got {snap_err:?}");
+        assert!(
+            matches!(snap_err, SnapshotError::Serialize(_)),
+            "got {snap_err:?}"
+        );
         let msg = snap_err.to_string();
-        assert!(msg.contains("snapshot serialization failed"), "display: {msg}");
+        assert!(
+            msg.contains("snapshot serialization failed"),
+            "display: {msg}"
+        );
     }
 
     #[test]
@@ -221,7 +228,9 @@ mod tests {
         let dir = scratch("swap");
         let trained = TimingGnn::new(&ModelConfig { seed: 99, ..cfg });
         let path = checkpoint_path(&dir, 3);
-        checkpoint_for(&trained, 3).write_atomic(&path).expect("write");
+        checkpoint_for(&trained, 3)
+            .write_atomic(&path)
+            .expect("write");
         let snap = store.load_checkpoint(&path).expect("valid checkpoint");
         assert_eq!(snap.version, 2);
         assert_eq!(snap.epoch, 3);
@@ -239,7 +248,9 @@ mod tests {
         let store = SnapshotStore::new(cfg.clone(), TimingGnn::new(&cfg), "seed").expect("boot");
         let dir = scratch("concurrent");
         let path = checkpoint_path(&dir, 1);
-        checkpoint_for(&TimingGnn::new(&cfg), 1).write_atomic(&path).expect("write");
+        checkpoint_for(&TimingGnn::new(&cfg), 1)
+            .write_atomic(&path)
+            .expect("write");
         const THREADS: usize = 8;
         const ROUNDS: usize = 40;
         let start = std::sync::Barrier::new(THREADS);
@@ -250,7 +261,10 @@ mod tests {
                     .map(|_| {
                         s.spawn(|| {
                             start.wait();
-                            store.load_checkpoint(&path).expect("valid checkpoint").version
+                            store
+                                .load_checkpoint(&path)
+                                .expect("valid checkpoint")
+                                .version
                         })
                     })
                     .collect();
@@ -260,7 +274,11 @@ mod tests {
                     .collect::<Vec<u64>>()
             }));
             // Whichever swap landed last published the highest version.
-            assert_eq!(store.current().version, 1 + (round * THREADS) as u64, "round {round}");
+            assert_eq!(
+                store.current().version,
+                1 + (round * THREADS) as u64,
+                "round {round}"
+            );
         }
         versions.sort_unstable();
         let expected: Vec<u64> = (2..2 + (ROUNDS * THREADS) as u64).collect();
@@ -275,16 +293,24 @@ mod tests {
         let before = store.current();
         let dir = scratch("corrupt");
         let path = checkpoint_path(&dir, 1);
-        checkpoint_for(&TimingGnn::new(&cfg), 1).write_atomic(&path).expect("write");
+        checkpoint_for(&TimingGnn::new(&cfg), 1)
+            .write_atomic(&path)
+            .expect("write");
         let mut bytes = std::fs::read(&path).expect("read");
         let mut injector = tp_gnn::FaultInjector::new(7);
         let mid = bytes.len() / 2;
         injector.corrupt_at(&mut bytes, mid);
         std::fs::write(&path, &bytes).expect("rewrite");
         let err = store.load_checkpoint(&path);
-        assert!(matches!(err, Err(SnapshotError::Checkpoint(_))), "got {err:?}");
+        assert!(
+            matches!(err, Err(SnapshotError::Checkpoint(_))),
+            "got {err:?}"
+        );
         let after = store.current();
-        assert_eq!(after.version, before.version, "serving snapshot must be untouched");
+        assert_eq!(
+            after.version, before.version,
+            "serving snapshot must be untouched"
+        );
         assert!(Arc::ptr_eq(&before.model, &after.model));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -294,9 +320,14 @@ mod tests {
         let cfg = small_config();
         let store = SnapshotStore::new(cfg.clone(), TimingGnn::new(&cfg), "seed").expect("boot");
         let dir = scratch("arch");
-        let other = TimingGnn::new(&ModelConfig { embed_dim: 8, ..cfg });
+        let other = TimingGnn::new(&ModelConfig {
+            embed_dim: 8,
+            ..cfg
+        });
         let path = checkpoint_path(&dir, 2);
-        checkpoint_for(&other, 2).write_atomic(&path).expect("write");
+        checkpoint_for(&other, 2)
+            .write_atomic(&path)
+            .expect("write");
         let err = store.load_checkpoint(&path);
         assert!(matches!(err, Err(SnapshotError::Params(_))), "got {err:?}");
         assert_eq!(store.current().version, 1);
@@ -308,14 +339,19 @@ mod tests {
         let cfg = small_config();
         let store = SnapshotStore::new(cfg.clone(), TimingGnn::new(&cfg), "seed").expect("boot");
         let dir = scratch("latest");
-        let good = TimingGnn::new(&ModelConfig { seed: 5, ..cfg.clone() });
+        let good = TimingGnn::new(&ModelConfig {
+            seed: 5,
+            ..cfg.clone()
+        });
         checkpoint_for(&good, 1)
             .write_atomic(&checkpoint_path(&dir, 1))
             .expect("write");
         // A newer, torn checkpoint: recovery must fall back to epoch 1.
         let newer = checkpoint_for(&TimingGnn::new(&cfg), 2).to_bytes();
         std::fs::write(checkpoint_path(&dir, 2), &newer[..newer.len() / 2]).expect("write");
-        let snap = store.load_latest(&dir).expect("falls back to the valid file");
+        let snap = store
+            .load_latest(&dir)
+            .expect("falls back to the valid file");
         assert_eq!(snap.epoch, 1);
         for (a, b) in good.parameters().iter().zip(snap.model.parameters()) {
             assert_eq!(a.to_vec(), b.to_vec());

@@ -230,8 +230,14 @@ fn error_replies_are_not_counted_as_served() {
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let refusals = [
-        (r#"{"op":"predict","design":"nope","id":1}"#, "unknown_design"),
-        (r#"{"op":"register","design":"not-a-benchmark","id":2}"#, "bad_request"),
+        (
+            r#"{"op":"predict","design":"nope","id":1}"#,
+            "unknown_design",
+        ),
+        (
+            r#"{"op":"register","design":"not-a-benchmark","id":2}"#,
+            "bad_request",
+        ),
         (r#"{"op":"reload","id":3}"#, "snapshot_rejected"),
         (
             r#"{"op":"move_pins","design":"spm","moves":[{"pin":1000000,"x":1.0,"y":1.0}],"id":4}"#,
@@ -248,7 +254,10 @@ fn error_replies_are_not_counted_as_served() {
 
     let report = server.shutdown();
     assert_eq!(report.requests_total, 5);
-    assert_eq!(report.served, 1, "only the stats reply succeeded: {report:?}");
+    assert_eq!(
+        report.served, 1,
+        "only the stats reply succeeded: {report:?}"
+    );
 }
 
 #[test]
@@ -317,7 +326,10 @@ fn panicking_handler_is_isolated_and_session_rebuilds() {
     let boom2 = roundtrip(&mut client, r#"{"op":"debug_panic","id":5}"#);
     assert_error(&boom2, "panic");
     // Unknown design: structured error, not a panic.
-    let missing = roundtrip(&mut client, r#"{"op":"debug_panic","design":"nope","id":6}"#);
+    let missing = roundtrip(
+        &mut client,
+        r#"{"op":"debug_panic","design":"nope","id":6}"#,
+    );
     assert_error(&missing, "unknown_design");
 
     let report = server.shutdown();
@@ -334,21 +346,32 @@ fn hot_swap_over_the_wire_and_corrupt_checkpoint_rejection() {
     let v1 = roundtrip(&mut client, r#"{"op":"predict","design":"spm","id":1}"#);
     assert_ok(&v1);
     let hash_v1 = get_str(&v1, "prediction_hash");
-    assert_eq!(v1.get("snapshot_version").and_then(JsonValue::as_u64), Some(1));
+    assert_eq!(
+        v1.get("snapshot_version").and_then(JsonValue::as_u64),
+        Some(1)
+    );
 
     // Good checkpoint (different weights) hot-swaps to version 2.
     let good = tp_gnn::checkpoint::checkpoint_path(&dir, 3);
-    checkpoint_with_seed(77, 3).write_atomic(&good).expect("write");
+    checkpoint_with_seed(77, 3)
+        .write_atomic(&good)
+        .expect("write");
     let swapped = roundtrip(
         &mut client,
         &format!(r#"{{"op":"reload","path":"{}","id":2}}"#, good.display()),
     );
     assert_ok(&swapped);
-    assert_eq!(swapped.get("snapshot_version").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(
+        swapped.get("snapshot_version").and_then(JsonValue::as_u64),
+        Some(2)
+    );
 
     let v2 = roundtrip(&mut client, r#"{"op":"predict","design":"spm","id":3}"#);
     assert_ok(&v2);
-    assert_eq!(v2.get("snapshot_version").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(
+        v2.get("snapshot_version").and_then(JsonValue::as_u64),
+        Some(2)
+    );
     let hash_v2 = get_str(&v2, "prediction_hash");
     assert_ne!(hash_v2, hash_v1, "new weights must change the prediction");
 
@@ -366,7 +389,10 @@ fn hot_swap_over_the_wire_and_corrupt_checkpoint_rejection() {
 
     let still = roundtrip(&mut client, r#"{"op":"predict","design":"spm","id":5}"#);
     assert_ok(&still);
-    assert_eq!(still.get("snapshot_version").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(
+        still.get("snapshot_version").and_then(JsonValue::as_u64),
+        Some(2)
+    );
     assert_eq!(get_str(&still, "prediction_hash"), hash_v2);
 
     // A path that cannot be read at all degrades to the same structured
@@ -406,13 +432,18 @@ fn graceful_drain_finishes_in_flight_work() {
     let report = server.shutdown();
     let slow_reply = inflight.join().expect("in-flight thread");
     assert_ok(&slow_reply);
-    assert!(report.served >= 2, "in-flight request must finish: {report:?}");
+    assert!(
+        report.served >= 2,
+        "in-flight request must finish: {report:?}"
+    );
 
     // The drained server refuses new connections entirely.
     assert!(
         Client::connect(addr).is_err() || {
             let mut c = Client::connect(addr).expect("connect");
-            c.send(r#"{"op":"ping"}"#).map(|r| r.is_none()).unwrap_or(true)
+            c.send(r#"{"op":"ping"}"#)
+                .map(|r| r.is_none())
+                .unwrap_or(true)
         },
         "drained server must not serve new work"
     );
@@ -496,7 +527,12 @@ fn restart_recovers_from_newest_valid_snapshot() {
     let recovered = roundtrip(&mut client, r#"{"op":"reload","id":1}"#);
     assert_ok(&recovered);
     assert_eq!(recovered.get("epoch").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(recovered.get("snapshot_version").and_then(JsonValue::as_u64), Some(2));
+    assert_eq!(
+        recovered
+            .get("snapshot_version")
+            .and_then(JsonValue::as_u64),
+        Some(2)
+    );
 
     // The recovered snapshot serves: same weights as a store that loaded
     // epoch 1 directly, so the prediction digest matches.

@@ -219,7 +219,10 @@ fn register_round_trips_and_caches_over_the_wire() {
             .expect("server replied"),
     );
     assert_ok(&first, "register");
-    assert_eq!(first.get("cached").and_then(JsonValue::as_bool), Some(false));
+    assert_eq!(
+        first.get("cached").and_then(JsonValue::as_bool),
+        Some(false)
+    );
     let hash = first
         .get("content_hash")
         .and_then(JsonValue::as_str)
@@ -236,7 +239,10 @@ fn register_round_trips_and_caches_over_the_wire() {
             .expect("server replied"),
     );
     assert_ok(&second, "re-register");
-    assert_eq!(second.get("cached").and_then(JsonValue::as_bool), Some(true));
+    assert_eq!(
+        second.get("cached").and_then(JsonValue::as_bool),
+        Some(true)
+    );
     assert_eq!(
         second.get("content_hash").and_then(JsonValue::as_str),
         Some(hash.as_str())
@@ -255,7 +261,10 @@ fn register_round_trips_and_caches_over_the_wire() {
             .expect("server replied"),
     );
     assert_ok(&aliased, "aliased register");
-    assert_eq!(aliased.get("cached").and_then(JsonValue::as_bool), Some(true));
+    assert_eq!(
+        aliased.get("cached").and_then(JsonValue::as_bool),
+        Some(true)
+    );
     assert_eq!(
         aliased.get("content_hash").and_then(JsonValue::as_str),
         Some(hash.as_str())
@@ -274,7 +283,10 @@ fn register_round_trips_and_caches_over_the_wire() {
             .expect("server replied"),
     );
     assert_ok(&rebuilt, "retimed register");
-    assert_eq!(rebuilt.get("cached").and_then(JsonValue::as_bool), Some(false));
+    assert_eq!(
+        rebuilt.get("cached").and_then(JsonValue::as_bool),
+        Some(false)
+    );
     assert_ne!(
         rebuilt.get("content_hash").and_then(JsonValue::as_str),
         Some(hash.as_str())

@@ -56,6 +56,9 @@ mod tests {
 
     #[test]
     fn builder_overrides_period() {
-        assert_eq!(StaConfig::default().with_clock_period(5.0).clock_period, 5.0);
+        assert_eq!(
+            StaConfig::default().with_clock_period(5.0).clock_period,
+            5.0
+        );
     }
 }

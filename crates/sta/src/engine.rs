@@ -64,7 +64,13 @@ impl<'a> StaEngine<'a> {
 
         // Initialize reductions: late corners accumulate max (start at
         // -inf), early corners min (start at +inf).
-        let init_at = |c: Corner| if c.is_early() { f32::INFINITY } else { f32::NEG_INFINITY };
+        let init_at = |c: Corner| {
+            if c.is_early() {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            }
+        };
         let mut at = vec![[0.0f32; 4]; n];
         let mut slew = vec![[0.0f32; 4]; n];
         for a in at.iter_mut() {
@@ -194,7 +200,6 @@ impl<'a> StaEngine<'a> {
     }
 }
 
-
 /// Adaptive dispatch for the forward level sweep: items and units are the
 /// level's pins, seeded near the measured per-pin kernel cost. The model
 /// inlines small levels (the fork-join handoff used to cost more than the
@@ -282,7 +287,11 @@ impl StaEngine<'_> {
             cell_delays: Vec::new(),
         };
         for c in Corner::ALL {
-            let init = if c.is_early() { f32::INFINITY } else { f32::NEG_INFINITY };
+            let init = if c.is_early() {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            };
             up.at[c.index()] = init;
             up.slew[c.index()] = init;
         }
@@ -483,7 +492,8 @@ mod tests {
         b.connect(prev, &[po]).unwrap();
         let c = b.finish().unwrap();
         let p = place_circuit(&c, &PlacementConfig::default(), 5);
-        let relaxed = StaEngine::new(&lib, StaConfig::default().with_clock_period(10.0)).run(&c, &p);
+        let relaxed =
+            StaEngine::new(&lib, StaConfig::default().with_clock_period(10.0)).run(&c, &p);
         let tight = StaEngine::new(&lib, StaConfig::default().with_clock_period(0.1)).run(&c, &p);
         assert!(relaxed.wns_setup() > 0.0);
         assert!(tight.wns_setup() < 0.0);

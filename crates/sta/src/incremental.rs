@@ -257,9 +257,17 @@ mod tests {
     fn assert_bit_equal(circuit: &Circuit, inc: &TimingReport, full: &TimingReport) {
         let bits = |v: [f32; 4]| v.map(f32::to_bits);
         for p in circuit.pin_ids() {
-            assert_eq!(bits(inc.arrival(p)), bits(full.arrival(p)), "arrival at pin {p}");
+            assert_eq!(
+                bits(inc.arrival(p)),
+                bits(full.arrival(p)),
+                "arrival at pin {p}"
+            );
             assert_eq!(bits(inc.slew(p)), bits(full.slew(p)), "slew at pin {p}");
-            assert_eq!(bits(inc.required(p)), bits(full.required(p)), "required at pin {p}");
+            assert_eq!(
+                bits(inc.required(p)),
+                bits(full.required(p)),
+                "required at pin {p}"
+            );
         }
     }
 
@@ -288,12 +296,8 @@ mod tests {
         let cell = tp_graph::CellId::new(0);
         let cd = circuit.cell(cell);
         let base = placement.location(cd.output);
-        let (new_placement, moved) = move_cell(
-            &circuit,
-            &placement,
-            cell,
-            Point::new(base.x + 0.5, base.y),
-        );
+        let (new_placement, moved) =
+            move_cell(&circuit, &placement, cell, Point::new(base.x + 0.5, base.y));
         let recomputed = inc.update_pins(&circuit, &new_placement, &moved);
         assert!(recomputed > 0);
         assert!(
@@ -310,7 +314,12 @@ mod tests {
         // "move" a cell to exactly where it already is
         let cell = tp_graph::CellId::new(1);
         let cd = circuit.cell(cell);
-        let moved: Vec<PinId> = cd.inputs.iter().chain(std::iter::once(&cd.output)).copied().collect();
+        let moved: Vec<PinId> = cd
+            .inputs
+            .iter()
+            .chain(std::iter::once(&cd.output))
+            .copied()
+            .collect();
         let recomputed = inc.update_pins(&circuit, &placement, &moved);
         // only the seeded pins themselves get recomputed, nothing spreads
         let seeded_bound = 4 * (cd.inputs.len() + 1) * 8;

@@ -183,7 +183,12 @@ pub fn format_path(circuit: &Circuit, path: &TimingPath) -> String {
         path.logic_depth()
     )
     .expect("string write");
-    writeln!(out, "  {:<28} {:>10} {:>10}  kind", "pin", "delay", "arrival").expect("string write");
+    writeln!(
+        out,
+        "  {:<28} {:>10} {:>10}  kind",
+        "pin", "delay", "arrival"
+    )
+    .expect("string write");
     for s in &path.steps {
         writeln!(
             out,

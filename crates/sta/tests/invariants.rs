@@ -126,7 +126,11 @@ fn incremental_equals_full() {
             let (i, f) = (&inc_report, &full);
             assert_eq!(bits(i.arrival(p)), bits(f.arrival(p)), "arrival at pin {p}");
             assert_eq!(bits(i.slew(p)), bits(f.slew(p)), "slew at pin {p}");
-            assert_eq!(bits(i.required(p)), bits(f.required(p)), "required at pin {p}");
+            assert_eq!(
+                bits(i.required(p)),
+                bits(f.required(p)),
+                "required at pin {p}"
+            );
         }
     });
 }

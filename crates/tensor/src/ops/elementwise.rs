@@ -85,7 +85,11 @@ impl Tensor {
     ) -> Tensor {
         let mode = broadcast_mode(self, rhs);
         let (lhs_s, rhs_s) = (self.save(), rhs.save());
-        let cols = if self.rank() == 2 { self.shape()[1] } else { self.numel() };
+        let cols = if self.rank() == 2 {
+            self.shape()[1]
+        } else {
+            self.numel()
+        };
         let ld = self.data();
         let rd = rhs.data();
         let out: Vec<f32> = match mode {
@@ -112,16 +116,20 @@ impl Tensor {
     ///
     /// Panics if the shapes are incompatible (see module docs).
     pub fn add(&self, rhs: &Tensor) -> Tensor {
-        self.binary_op(rhs, |a, b| a + b, |mode, cols, lhs, rhs| {
-            Box::new(move |g: &[f32], _| {
-                if lhs.tensor.requires_grad() {
-                    lhs.tensor.accumulate_grad(g);
-                }
-                if rhs.tensor.requires_grad() {
-                    rhs.tensor.accumulate_grad(reduce_to(mode, g, cols));
-                }
-            })
-        })
+        self.binary_op(
+            rhs,
+            |a, b| a + b,
+            |mode, cols, lhs, rhs| {
+                Box::new(move |g: &[f32], _| {
+                    if lhs.tensor.requires_grad() {
+                        lhs.tensor.accumulate_grad(g);
+                    }
+                    if rhs.tensor.requires_grad() {
+                        rhs.tensor.accumulate_grad(reduce_to(mode, g, cols));
+                    }
+                })
+            },
+        )
     }
 
     /// Elementwise subtraction (same broadcasting rules as [`Tensor::add`]).
@@ -130,17 +138,21 @@ impl Tensor {
     ///
     /// Panics if the shapes are incompatible.
     pub(crate) fn sub(&self, rhs: &Tensor) -> Tensor {
-        self.binary_op(rhs, |a, b| a - b, |mode, cols, lhs, rhs| {
-            Box::new(move |g: &[f32], _| {
-                if lhs.tensor.requires_grad() {
-                    lhs.tensor.accumulate_grad(g);
-                }
-                if rhs.tensor.requires_grad() {
-                    let neg: Vec<f32> = g.iter().map(|x| -x).collect();
-                    rhs.tensor.accumulate_grad(reduce_to(mode, neg, cols));
-                }
-            })
-        })
+        self.binary_op(
+            rhs,
+            |a, b| a - b,
+            |mode, cols, lhs, rhs| {
+                Box::new(move |g: &[f32], _| {
+                    if lhs.tensor.requires_grad() {
+                        lhs.tensor.accumulate_grad(g);
+                    }
+                    if rhs.tensor.requires_grad() {
+                        let neg: Vec<f32> = g.iter().map(|x| -x).collect();
+                        rhs.tensor.accumulate_grad(reduce_to(mode, neg, cols));
+                    }
+                })
+            },
+        )
     }
 
     /// Elementwise (Hadamard) product (same broadcasting rules as
@@ -150,28 +162,34 @@ impl Tensor {
     ///
     /// Panics if the shapes are incompatible.
     pub fn mul(&self, rhs: &Tensor) -> Tensor {
-        self.binary_op(rhs, |a, b| a * b, |mode, cols, lhs, rhs| {
-            Box::new(move |g: &[f32], _| {
-                if lhs.tensor.requires_grad() {
-                    let rd = rhs.read();
-                    let gl: Vec<f32> = match mode {
-                        Broadcast::Same => g.iter().zip(rd.iter()).map(|(&g, &b)| g * b).collect(),
-                        Broadcast::Scalar => g.iter().map(|&g| g * rd[0]).collect(),
-                        Broadcast::RowVector => rows(g, rd.len())
-                            .flat_map(|row| row.iter().zip(rd.iter()).map(|(&g, &b)| g * b))
-                            .collect(),
-                    };
-                    drop(rd);
-                    lhs.tensor.accumulate_grad(gl);
-                }
-                if rhs.tensor.requires_grad() {
-                    let ld = lhs.read();
-                    let gr: Vec<f32> = g.iter().zip(ld.iter()).map(|(&g, &a)| g * a).collect();
-                    drop(ld);
-                    rhs.tensor.accumulate_grad(reduce_to(mode, gr, cols));
-                }
-            })
-        })
+        self.binary_op(
+            rhs,
+            |a, b| a * b,
+            |mode, cols, lhs, rhs| {
+                Box::new(move |g: &[f32], _| {
+                    if lhs.tensor.requires_grad() {
+                        let rd = rhs.read();
+                        let gl: Vec<f32> = match mode {
+                            Broadcast::Same => {
+                                g.iter().zip(rd.iter()).map(|(&g, &b)| g * b).collect()
+                            }
+                            Broadcast::Scalar => g.iter().map(|&g| g * rd[0]).collect(),
+                            Broadcast::RowVector => rows(g, rd.len())
+                                .flat_map(|row| row.iter().zip(rd.iter()).map(|(&g, &b)| g * b))
+                                .collect(),
+                        };
+                        drop(rd);
+                        lhs.tensor.accumulate_grad(gl);
+                    }
+                    if rhs.tensor.requires_grad() {
+                        let ld = lhs.read();
+                        let gr: Vec<f32> = g.iter().zip(ld.iter()).map(|(&g, &a)| g * a).collect();
+                        drop(ld);
+                        rhs.tensor.accumulate_grad(reduce_to(mode, gr, cols));
+                    }
+                })
+            },
+        )
     }
 
     /// `fwd` applied elementwise; the backward scales the incoming

@@ -95,10 +95,12 @@ impl Tensor {
         {
             let datas: Vec<_> = parts.iter().map(|p| p.data()).collect();
             for (i, &r) in index.iter().enumerate() {
-                assert!(r < total, "assemble index {r} out of bounds for {total} rows");
+                assert!(
+                    r < total,
+                    "assemble index {r} out of bounds for {total} rows"
+                );
                 let (pi, local) = locate(&offsets, r);
-                out[i * d..(i + 1) * d]
-                    .copy_from_slice(&datas[pi][local * d..(local + 1) * d]);
+                out[i * d..(i + 1) * d].copy_from_slice(&datas[pi][local * d..(local + 1) * d]);
             }
         }
         let idx: Arc<Vec<usize>> = Arc::new(index.to_vec());
@@ -145,7 +147,10 @@ impl Tensor {
         let data = self.data();
         let mut out = vec![0.0; num_segments * d];
         for (r, &s) in segments.iter().enumerate() {
-            assert!(s < num_segments, "segment id {s} out of range {num_segments}");
+            assert!(
+                s < num_segments,
+                "segment id {s} out of range {num_segments}"
+            );
             for j in 0..d {
                 out[s * d + j] += data[r * d + j];
             }
@@ -198,7 +203,10 @@ impl Tensor {
         let data = self.data();
         let mut out = vec![f32::NEG_INFINITY; num_segments * d];
         for (r, &s) in segments.iter().enumerate() {
-            assert!(s < num_segments, "segment id {s} out of range {num_segments}");
+            assert!(
+                s < num_segments,
+                "segment id {s} out of range {num_segments}"
+            );
             let row = &data[r * d..(r + 1) * d];
             let orow = &mut out[s * d..(s + 1) * d];
             if tape {

@@ -56,7 +56,8 @@ impl Tensor {
         let (m, k) = self.shape_obj().as_2d();
         let (k2, n) = rhs.shape_obj().as_2d();
         assert_eq!(
-            k, k2,
+            k,
+            k2,
             "matmul inner dims disagree: {} vs {}",
             self.shape_obj(),
             rhs.shape_obj()
@@ -196,8 +197,12 @@ mod tests {
     #[test]
     fn matmul_gradients_match_manual() {
         // y = sum(A·B); dy/dA = ones·Bᵀ, dy/dB = Aᵀ·ones
-        let a = Tensor::from_vec(vec![1., 2., 3., 4.], &[2, 2]).unwrap().with_grad();
-        let b = Tensor::from_vec(vec![5., 6., 7., 8.], &[2, 2]).unwrap().with_grad();
+        let a = Tensor::from_vec(vec![1., 2., 3., 4.], &[2, 2])
+            .unwrap()
+            .with_grad();
+        let b = Tensor::from_vec(vec![5., 6., 7., 8.], &[2, 2])
+            .unwrap()
+            .with_grad();
         a.matmul(&b).sum().backward();
         assert_eq!(a.grad().unwrap(), vec![11., 15., 11., 15.]);
         assert_eq!(b.grad().unwrap(), vec![4., 4., 6., 6.]);
@@ -210,8 +215,12 @@ mod tests {
         // override mid-suite is safe precisely because of the property
         // under test: thread count never changes results.
         let (m, k, n) = (96usize, 48usize, 40usize);
-        let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.031).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.017).collect();
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.031)
+            .collect();
+        let b: Vec<f32> = (0..k * n)
+            .map(|i| ((i * 53 % 97) as f32 - 48.0) * 0.017)
+            .collect();
         let at = Tensor::from_vec(a, &[m, k]).unwrap().with_grad();
         let bt = Tensor::from_vec(b, &[k, n]).unwrap().with_grad();
         let run = |threads: usize| {

@@ -31,7 +31,9 @@ impl Tensor {
     pub fn sum_axis1(&self) -> Tensor {
         let (n, d) = self.shape_obj().as_2d();
         let data = self.data();
-        let out: Vec<f32> = (0..n).map(|i| data[i * d..(i + 1) * d].iter().sum()).collect();
+        let out: Vec<f32> = (0..n)
+            .map(|i| data[i * d..(i + 1) * d].iter().sum())
+            .collect();
         drop(data);
         let src = self.clone();
         let backward: BackwardFn = Box::new(move |g: &[f32], _| {
@@ -91,7 +93,9 @@ mod tests {
 
     #[test]
     fn sum_axis1_values_and_grad() {
-        let a = Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], &[2, 3]).unwrap().with_grad();
+        let a = Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], &[2, 3])
+            .unwrap()
+            .with_grad();
         let y = a.sum_axis1();
         assert_eq!(y.to_vec(), vec![6.0, 15.0]);
         y.mul(&Tensor::from_slice(&[1.0, 10.0])).sum().backward();

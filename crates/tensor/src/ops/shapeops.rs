@@ -133,7 +133,11 @@ impl Tensor {
     /// Panics if the tensor is not rank 2 or the range exceeds `D`.
     pub fn narrow_cols(&self, start: usize, len: usize) -> Tensor {
         let (n, d) = self.shape_obj().as_2d();
-        assert!(start + len <= d, "column range {start}..{} exceeds {d}", start + len);
+        assert!(
+            start + len <= d,
+            "column range {start}..{} exceeds {d}",
+            start + len
+        );
         let data = self.data();
         let mut out = Vec::with_capacity(n * len);
         for i in 0..n {
@@ -249,7 +253,9 @@ mod tests {
         let b = m(&[3., 4., 5., 6.], &[2, 2]).with_grad();
         let y = Tensor::concat_cols(&[&a, &b]);
         assert_eq!(y.to_vec(), vec![1., 3., 4., 2., 5., 6.]);
-        y.mul(&m(&[1., 2., 3., 4., 5., 6.], &[2, 3])).sum().backward();
+        y.mul(&m(&[1., 2., 3., 4., 5., 6.], &[2, 3]))
+            .sum()
+            .backward();
         assert_eq!(a.grad().unwrap(), vec![1., 4.]);
         assert_eq!(b.grad().unwrap(), vec![2., 3., 5., 6.]);
     }

@@ -1,9 +1,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{
-    Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use tp_rng::Rng;
 
@@ -434,12 +432,12 @@ mod tests {
 
     #[test]
     fn randn_has_roughly_right_moments() {
-            let mut rng = tp_rng::StdRng::seed_from_u64(2024);
+        let mut rng = tp_rng::StdRng::seed_from_u64(2024);
         let t = Tensor::randn(&[10_000], 0.0, 1.0, &mut rng);
         let data = t.to_vec();
         let mean: f32 = data.iter().sum::<f32>() / data.len() as f32;
-        let var: f32 = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>()
-            / data.len() as f32;
+        let var: f32 =
+            data.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / data.len() as f32;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var - 1.0).abs() < 0.2, "var {var}");
     }
@@ -460,7 +458,13 @@ mod tests {
     #[test]
     fn ids_are_unique_across_threads() {
         let handles: Vec<_> = (0..4)
-            .map(|_| std::thread::spawn(|| (0..100).map(|_| Tensor::from_slice(&[0.0]).id()).collect::<Vec<u64>>()))
+            .map(|_| {
+                std::thread::spawn(|| {
+                    (0..100)
+                        .map(|_| Tensor::from_slice(&[0.0]).id())
+                        .collect::<Vec<u64>>()
+                })
+            })
             .collect();
         let mut all: Vec<u64> = handles
             .into_iter()

@@ -15,11 +15,7 @@ const TOL: f32 = 2e-2;
 const CASES: usize = 64;
 
 /// Evaluates `loss(x_data)` freshly (no autograd) for finite differences.
-fn numeric_grad(
-    x_data: &[f32],
-    shape: &[usize],
-    loss: &dyn Fn(&Tensor) -> Tensor,
-) -> Vec<f32> {
+fn numeric_grad(x_data: &[f32], shape: &[usize], loss: &dyn Fn(&Tensor) -> Tensor) -> Vec<f32> {
     let mut grads = Vec::with_capacity(x_data.len());
     for i in 0..x_data.len() {
         let mut plus = x_data.to_vec();

@@ -22,7 +22,9 @@ use timing_predict::sta::flow::run_full_flow;
 use timing_predict::sta::StaConfig;
 
 fn main() -> ExitCode {
-    let design = std::env::args().nth(1).unwrap_or_else(|| "xtea".to_string());
+    let design = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "xtea".to_string());
     // Fail gracefully on an unknown design instead of panicking: name the
     // problem and the valid suite.
     if BenchmarkSpec::by_name(&design).is_none() {
@@ -121,7 +123,10 @@ fn main() -> ExitCode {
         outcome.resumed_cells,
         outcome.executed_cells,
     );
-    println!("{:>6} {:>14} {:>14}", "seed", "true WNS (ns)", "pred WNS (ns)");
+    println!(
+        "{:>6} {:>14} {:>14}",
+        "seed", "true WNS (ns)", "pred WNS (ns)"
+    );
     let mut pairs = Vec::new();
     for rec in &outcome.records {
         let spec = grid.cell(rec.cell);
@@ -143,7 +148,10 @@ fn main() -> ExitCode {
         .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
         .map(|(i, _)| i)
     else {
-        eprintln!("error: no cell completed; see {}", outcome.report_path.display());
+        eprintln!(
+            "error: no cell completed; see {}",
+            outcome.report_path.display()
+        );
         return ExitCode::FAILURE;
     };
     let best_pred = pairs
@@ -152,9 +160,7 @@ fn main() -> ExitCode {
         .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
         .map(|(i, _)| i)
         .expect("non-empty when best_true exists");
-    println!(
-        "\nbest placement by true WNS: #{best_true}; by predicted WNS: #{best_pred}"
-    );
+    println!("\nbest placement by true WNS: #{best_true}; by predicted WNS: #{best_pred}");
     let rank_of_pick = {
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         order.sort_by(|&a, &b| pairs[b].0.total_cmp(&pairs[a].0));

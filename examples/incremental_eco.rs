@@ -35,7 +35,10 @@ fn main() {
     );
     let t0 = Instant::now();
     let mut inc = IncrementalSta::new(&library, config, &circuit, &placement);
-    println!("initial full analysis: {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
+    println!(
+        "initial full analysis: {:.1} ms",
+        t0.elapsed().as_secs_f64() * 1e3
+    );
 
     println!(
         "\n{:>5} {:>14} {:>12} {:>12} {:>12} {:>10}",
@@ -46,10 +49,7 @@ fn main() {
         // move one cell toward the die centre, as an optimizer might
         let cell = timing_predict::graph::CellId::new((step as usize * 37) % circuit.num_cells());
         let cd = circuit.cell(cell);
-        let target = Point::new(
-            die.width * (0.4 + 0.03 * step as f32),
-            die.height * 0.5,
-        );
+        let target = Point::new(die.width * (0.4 + 0.03 * step as f32), die.height * 0.5);
         let mut locs = placement.locations().to_vec();
         let mut moved = Vec::new();
         for &p in cd.inputs.iter().chain(std::iter::once(&cd.output)) {
@@ -69,7 +69,11 @@ fn main() {
 
         println!(
             "{step:>5} {recomputed:>14} {inc_ms:>12.2} {full_ms:>12.2} {inc_wns:>12.4} {:>10}",
-            if inc_wns.to_bits() == full.wns_setup().to_bits() { "yes" } else { "NO" }
+            if inc_wns.to_bits() == full.wns_setup().to_bits() {
+                "yes"
+            } else {
+                "NO"
+            }
         );
     }
     println!(

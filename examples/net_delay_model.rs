@@ -51,7 +51,10 @@ fn main() {
         }
     }
 
-    println!("{:<7}{:<15}{:>10}{:>10}", "split", "design", "RF R²", "GNN R²");
+    println!(
+        "{:<7}{:<15}{:>10}{:>10}",
+        "split", "design", "RF R²", "GNN R²"
+    );
     for d in dataset.designs() {
         let feats = net_delay_features(d);
         let rf = r2_score(&rf4::truth_flat(&feats), &forest.predict_flat(&feats));
@@ -76,5 +79,7 @@ fn main() {
             gn
         );
     }
-    println!("\n(for the full Table 4 protocol run `cargo run --release -p tp-bench --bin table4`)");
+    println!(
+        "\n(for the full Table 4 protocol run `cargo run --release -p tp-bench --bin table4`)"
+    );
 }

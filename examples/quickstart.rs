@@ -22,12 +22,19 @@ fn main() {
         seed: 7,
         depth: None,
     };
-    let spec = BENCHMARKS.iter().find(|b| b.name == "usb").expect("known benchmark");
+    let spec = BENCHMARKS
+        .iter()
+        .find(|b| b.name == "usb")
+        .expect("known benchmark");
     let circuit = generate(spec, &library, &gen_cfg);
     println!("generated `{}`: {}", circuit.name(), circuit.stats());
 
     let placement = place_circuit(&circuit, &PlacementConfig::default(), 3);
-    println!("placed on a {:.0}×{:.0} µm die", placement.die().width, placement.die().height);
+    println!(
+        "placed on a {:.0}×{:.0} µm die",
+        placement.die().width,
+        placement.die().height
+    );
 
     // 3. Reference flow: Steiner routing + Elmore + 4-corner levelized STA.
     let sta_cfg = StaConfig::default();

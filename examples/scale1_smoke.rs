@@ -72,8 +72,15 @@ fn main() {
     let placement = place_circuit(&circuit, &PlacementConfig::default(), seed);
     let sta = StaConfig::default();
     let flow = run_full_flow(&circuit, &placement, &library, &sta);
-    let design =
-        DesignGraph::from_flow(design_name, false, &circuit, &placement, &library, &flow, &sta);
+    let design = DesignGraph::from_flow(
+        design_name,
+        false,
+        &circuit,
+        &placement,
+        &library,
+        &flow,
+        &sta,
+    );
     let mut trainer = Trainer::new(
         TimingGnn::new(&ModelConfig::paper()),
         TrainConfig::default(),

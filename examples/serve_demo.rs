@@ -105,7 +105,10 @@ fn main() {
     expect_ok(&slack, "slack");
     println!(
         "v1 prediction {hash_v1}, {} endpoints",
-        slack.get("endpoints").and_then(JsonValue::as_u64).unwrap_or(0)
+        slack
+            .get("endpoints")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
     );
 
     // 3. Hot-swap: write a checkpoint with different weights, reload it.
@@ -131,8 +134,10 @@ fn main() {
             t: 0,
         },
     };
-    ckpt.write_atomic(&timing_predict::gnn::checkpoint::checkpoint_path(&scratch, 1))
-        .expect("write checkpoint");
+    ckpt.write_atomic(&timing_predict::gnn::checkpoint::checkpoint_path(
+        &scratch, 1,
+    ))
+    .expect("write checkpoint");
     let reloaded = reply(&mut client, r#"{"op":"reload","id":5}"#);
     expect_ok(&reloaded, "reload");
     let swapped = reply(&mut client, r#"{"op":"predict","design":"spm","id":6}"#);
@@ -142,7 +147,10 @@ fn main() {
         .and_then(JsonValue::as_str)
         .expect("prediction_hash")
         .to_string();
-    assert_ne!(hash_v1, hash_v2, "hot-swapped weights must change the prediction");
+    assert_ne!(
+        hash_v1, hash_v2,
+        "hot-swapped weights must change the prediction"
+    );
     println!("hot-swapped to snapshot v2, prediction {hash_v2}");
 
     // 4. ECO edit through the incremental engine.
@@ -157,8 +165,14 @@ fn main() {
     expect_ok(&moved, "move_pins");
     println!(
         "ECO applied: recomputed {} rows, changed {}",
-        moved.get("recomputed_rows").and_then(JsonValue::as_u64).unwrap_or(0),
-        moved.get("changed_rows").and_then(JsonValue::as_u64).unwrap_or(0)
+        moved
+            .get("recomputed_rows")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0),
+        moved
+            .get("changed_rows")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
     );
 
     // 5. Stats, then graceful drain.
@@ -167,14 +181,20 @@ fn main() {
     let report = server.shutdown();
     assert_eq!(report.panicked, 0, "no handler may panic in the smoke run");
     assert_eq!(report.dropped, 0);
-    assert!(report.served >= 8, "all smoke requests must serve: {report:?}");
+    assert!(
+        report.served >= 8,
+        "all smoke requests must serve: {report:?}"
+    );
     println!(
         "drained: {} requests, {} served, 0 panicked",
         report.requests_total, report.served
     );
 
     if let Some(path) = obs_out {
-        assert!(path.exists(), "drain must flush the run manifest to {path:?}");
+        assert!(
+            path.exists(),
+            "drain must flush the run manifest to {path:?}"
+        );
         let manifest = std::fs::read_to_string(&path).expect("read manifest");
         timing_predict::obs::json::validate(&manifest).expect("manifest must be valid JSON");
         assert!(

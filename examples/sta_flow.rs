@@ -38,14 +38,24 @@ fn main() {
 
     println!("== {} @ scale {scale} ==", circuit.name());
     println!("{}", circuit.stats());
-    println!("total wirelength: {:.1} µm", flow.routing.total_wirelength());
+    println!(
+        "total wirelength: {:.1} µm",
+        flow.routing.total_wirelength()
+    );
     println!(
         "runtime: routing {:.2} ms, STA {:.2} ms",
         flow.routing_seconds * 1e3,
         flow.sta_seconds * 1e3
     );
-    println!("critical path delay: {:.4} ns", report.critical_path_delay());
-    println!("WNS(setup): {:+.4} ns, TNS(setup): {:+.4} ns", report.wns_setup(), report.tns_setup());
+    println!(
+        "critical path delay: {:.4} ns",
+        report.critical_path_delay()
+    );
+    println!(
+        "WNS(setup): {:+.4} ns, TNS(setup): {:+.4} ns",
+        report.wns_setup(),
+        report.tns_setup()
+    );
 
     // Slack histogram over endpoints.
     let slacks: Vec<f32> = report

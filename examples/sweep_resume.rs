@@ -41,8 +41,13 @@ fn main() -> ExitCode {
     println!("grid: {total} cells (2 designs × 2 clock periods × 3 seeds)");
 
     println!("[1/3] uninterrupted reference sweep…");
-    let reference = run_sweep(&grid, &config, &reference_dir, ground_truth_evaluator(&library))
-        .expect("reference sweep");
+    let reference = run_sweep(
+        &grid,
+        &config,
+        &reference_dir,
+        ground_truth_evaluator(&library),
+    )
+    .expect("reference sweep");
     assert!(reference.complete());
 
     println!("[2/3] sweep killed after {} cells…", total / 2);
@@ -63,8 +68,13 @@ fn main() -> ExitCode {
     );
 
     println!("[3/3] resuming from the journal…");
-    let resumed = run_sweep(&grid, &config, &resumable_dir, ground_truth_evaluator(&library))
-        .expect("resumed sweep");
+    let resumed = run_sweep(
+        &grid,
+        &config,
+        &resumable_dir,
+        ground_truth_evaluator(&library),
+    )
+    .expect("resumed sweep");
     println!(
         "      resumed {} journaled cells, executed the remaining {}",
         resumed.resumed_cells, resumed.executed_cells
@@ -82,6 +92,9 @@ fn main() -> ExitCode {
         eprintln!("error: resume broke the determinism contract");
         return ExitCode::FAILURE;
     }
-    println!("\nresume contract holds; artifacts under {}", base.display());
+    println!(
+        "\nresume contract holds; artifacts under {}",
+        base.display()
+    );
     ExitCode::SUCCESS
 }

@@ -74,8 +74,8 @@ fn main() -> ExitCode {
     serve_config.lib_seed = lib_seed;
     let server = Server::start(serve_config, TimingGnn::new(&model_config)).expect("bind");
     let addr = server.local_addr();
-    let served = run_sweep(&grid, &config, &served_dir, serve_evaluator(addr))
-        .expect("served sweep");
+    let served =
+        run_sweep(&grid, &config, &served_dir, serve_evaluator(addr)).expect("served sweep");
     assert!(served.complete());
 
     println!("[3/3] probing the registration cache…");
@@ -112,6 +112,9 @@ fn main() -> ExitCode {
         eprintln!("error: serving the sweep changed its artifacts");
         return ExitCode::FAILURE;
     }
-    println!("\nstreaming contract holds; artifacts under {}", base.display());
+    println!(
+        "\nstreaming contract holds; artifacts under {}",
+        base.display()
+    );
     ExitCode::SUCCESS
 }

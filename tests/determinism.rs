@@ -122,8 +122,10 @@ fn kill_and_resume_is_bit_identical() {
 
     // Kill after epoch 1: drop the later checkpoints, resume fresh.
     for epoch in 2..=3u64 {
-        std::fs::remove_file(timing_predict::gnn::checkpoint::checkpoint_path(&dir, epoch))
-            .expect("checkpoint exists");
+        std::fs::remove_file(timing_predict::gnn::checkpoint::checkpoint_path(
+            &dir, epoch,
+        ))
+        .expect("checkpoint exists");
     }
     let mut resumed = fresh_trainer();
     let from = resumed
@@ -204,7 +206,8 @@ fn observability_on_is_bit_identical_and_writes_nothing() {
 /// Poison-tolerant: a panicked holder must not cascade into the others.
 fn threads_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The tp-par contract: worker count is a pure performance knob. One run

@@ -140,10 +140,16 @@ fn our_model_beats_gcnii_on_held_out_designs() {
     gcnii.fit(&ds, 20);
 
     let test: Vec<_> = ds.test().cloned().collect();
-    let ours_avg: f64 =
-        test.iter().map(|d| ours.evaluate_arrival_r2(d)).sum::<f64>() / test.len() as f64;
-    let gcnii_avg: f64 =
-        test.iter().map(|d| gcnii.evaluate_arrival_r2(d)).sum::<f64>() / test.len() as f64;
+    let ours_avg: f64 = test
+        .iter()
+        .map(|d| ours.evaluate_arrival_r2(d))
+        .sum::<f64>()
+        / test.len() as f64;
+    let gcnii_avg: f64 = test
+        .iter()
+        .map(|d| gcnii.evaluate_arrival_r2(d))
+        .sum::<f64>()
+        / test.len() as f64;
     assert!(
         ours_avg > gcnii_avg,
         "timer-inspired model must generalize better: ours {ours_avg:.3} vs gcnii {gcnii_avg:.3}"
@@ -153,7 +159,12 @@ fn our_model_beats_gcnii_on_held_out_designs() {
 #[test]
 fn ablation_modes_all_train() {
     let (_lib, ds) = tiny_dataset(0.002);
-    for aux in [AuxMode::Full, AuxMode::CellOnly, AuxMode::NetOnly, AuxMode::None] {
+    for aux in [
+        AuxMode::Full,
+        AuxMode::CellOnly,
+        AuxMode::NetOnly,
+        AuxMode::None,
+    ] {
         let mut t = Trainer::new(
             TimingGnn::new(&ModelConfig {
                 embed_dim: 4,

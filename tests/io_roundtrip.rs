@@ -69,5 +69,8 @@ fn sdf_is_emitted_for_reimported_design() {
     let flow = run_full_flow(&circuit, &placement, &library, &StaConfig::default());
     let sdf = io::sdf::write(&circuit, &library, &flow.report);
     assert_eq!(sdf.matches("(IOPATH").count(), circuit.num_cell_edges());
-    assert_eq!(sdf.matches("(INTERCONNECT").count(), circuit.num_net_edges());
+    assert_eq!(
+        sdf.matches("(INTERCONNECT").count(),
+        circuit.num_net_edges()
+    );
 }

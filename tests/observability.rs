@@ -108,7 +108,11 @@ fn traced_training_run_produces_valid_artifacts() {
     };
     let steps = counter("train.steps").expect("train.steps counter recorded");
     let train_designs = dataset.train().count();
-    assert_eq!(steps as usize, train_designs * 2, "one step per design per epoch");
+    assert_eq!(
+        steps as usize,
+        train_designs * 2,
+        "one step per design per epoch"
+    );
     assert!(
         counter("gnn.pins_propagated").unwrap_or(0) > 0,
         "levelized propagation must count pins"

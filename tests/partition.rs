@@ -317,8 +317,14 @@ fn partitioned_training_checkpoints_match_monolithic() {
     let (part_bits, part_ckpt) = run(512, &scratch.join("part"));
 
     assert!(mono_bits.len() > 100, "signature too small");
-    assert_eq!(mono_bits, part_bits, "partitioned fit changed loss/prediction bits");
-    assert_eq!(mono_ckpt, part_ckpt, "partitioned fit changed checkpoint bytes");
+    assert_eq!(
+        mono_bits, part_bits,
+        "partitioned fit changed loss/prediction bits"
+    );
+    assert_eq!(
+        mono_ckpt, part_ckpt,
+        "partitioned fit changed checkpoint bytes"
+    );
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

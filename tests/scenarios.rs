@@ -25,7 +25,8 @@ use timing_predict::scenarios::{
 /// Poison-tolerant: a panicked holder must not cascade into the others.
 fn threads_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -136,8 +137,7 @@ fn kill_at_random_journal_point_resumes_bit_identical() {
                 let journal_path = dir.join(JOURNAL_FILE);
                 let bytes = std::fs::read(&journal_path).unwrap();
                 let chop = kill_rng.gen_range(1..40u64) as usize;
-                std::fs::write(&journal_path, &bytes[..bytes.len().saturating_sub(chop)])
-                    .unwrap();
+                std::fs::write(&journal_path, &bytes[..bytes.len().saturating_sub(chop)]).unwrap();
             }
             let resumed = run_sweep(&grid, &config, &dir, ground_truth_evaluator(&library))
                 .expect("resumed sweep");
@@ -244,7 +244,11 @@ fn deadline_overrun_is_marked_and_skips_siblings() {
     assert!(outcome.complete());
 
     let overrun = &outcome.records[6];
-    assert_eq!(overrun.status, CellStatus::Completed, "soft deadline: not killed");
+    assert_eq!(
+        overrun.status,
+        CellStatus::Completed,
+        "soft deadline: not killed"
+    );
     assert!(overrun.deadline_overrun);
     // Skipping applies to waves after the overrun is observed; with the
     // default pool width the rest of `spm`'s cells land in later waves.
@@ -254,8 +258,14 @@ fn deadline_overrun_is_marked_and_skips_siblings() {
         .filter(|r| r.status == CellStatus::Skipped)
         .map(|r| r.cell)
         .collect();
-    assert!(!skipped.is_empty(), "siblings after the overrun are skipped");
-    assert!(skipped.iter().all(|&c| c > 6 && c < 12), "only spm cells skip: {skipped:?}");
+    assert!(
+        !skipped.is_empty(),
+        "siblings after the overrun are skipped"
+    );
+    assert!(
+        skipped.iter().all(|&c| c > 6 && c < 12),
+        "only spm cells skip: {skipped:?}"
+    );
     for r in outcome.records.iter().filter(|r| r.cell < 6) {
         assert_eq!(r.status, CellStatus::Completed, "usb is unaffected");
         assert!(!r.deadline_overrun);
@@ -311,7 +321,10 @@ fn retry_backoff_schedule_is_deterministic_under_tp_seed() {
         timing_predict::par::set_threads(threads);
         let dir = scratch(&format!("backoff-{tag}"));
         let outcome = run_sweep(&grid, cfg, &dir, synthetic_eval).expect("sweep");
-        assert_eq!(outcome.records[1].attempts, 3, "two injected failures then success");
+        assert_eq!(
+            outcome.records[1].attempts, 3,
+            "two injected failures then success"
+        );
         timing_predict::par::set_threads(0);
         artifacts(&dir)
     };
@@ -341,10 +354,10 @@ fn resume_against_a_different_sweep_is_refused() {
     run_sweep(&grid, &fast_config(seed), &dir, synthetic_eval).expect("sweep");
     let mut other_grid = grid.clone();
     other_grid.seeds.push(99);
-    let err = run_sweep(&other_grid, &fast_config(seed), &dir, synthetic_eval)
-        .expect_err("grid changed");
+    let err =
+        run_sweep(&other_grid, &fast_config(seed), &dir, synthetic_eval).expect_err("grid changed");
     assert!(err.to_string().contains("different sweep"), "{err}");
-    let err = run_sweep(&grid, &fast_config(seed ^ 1), &dir, synthetic_eval)
-        .expect_err("seed changed");
+    let err =
+        run_sweep(&grid, &fast_config(seed ^ 1), &dir, synthetic_eval).expect_err("seed changed");
     assert!(err.to_string().contains("different sweep"), "{err}");
 }

@@ -14,9 +14,7 @@
 
 use timing_predict::data::{DesignGraph, PinMove};
 use timing_predict::gen::{generate, GeneratorConfig, BENCHMARKS};
-use timing_predict::gnn::{
-    Checkpoint, FaultPlan, ModelConfig, PropPlan, RequestFault, TimingGnn,
-};
+use timing_predict::gnn::{Checkpoint, FaultPlan, ModelConfig, PropPlan, RequestFault, TimingGnn};
 use timing_predict::liberty::Library;
 use timing_predict::place::{place_circuit, Placement, PlacementConfig};
 use timing_predict::serve::{prediction_hash, Client, JsonValue, ServeConfig, Server};
@@ -113,7 +111,11 @@ fn server_survives_compound_seeded_faults() {
     );
     let slow_reply = slow.join().expect("slot holder");
     assert!(is_ok(&slow_reply));
-    assert_eq!(hash_of(&slow_reply), golden, "saturation must not corrupt results");
+    assert_eq!(
+        hash_of(&slow_reply),
+        golden,
+        "saturation must not corrupt results"
+    );
 
     // Panic isolation: the handler dies holding the session lock.
     let boom = roundtrip(&mut main, r#"{"op":"debug_panic","design":"spm","id":4}"#);
@@ -194,9 +196,21 @@ fn served_incremental_eco_matches_offline_full_forward() {
     server.register_design("spm", design, placement);
 
     let moves = [
-        PinMove { pin: 2, x: die.width * 0.40, y: die.height * 0.60 },
-        PinMove { pin: 7, x: die.width * 0.15, y: die.height * 0.85 },
-        PinMove { pin: 12, x: die.width * 0.70, y: die.height * 0.10 },
+        PinMove {
+            pin: 2,
+            x: die.width * 0.40,
+            y: die.height * 0.60,
+        },
+        PinMove {
+            pin: 7,
+            x: die.width * 0.15,
+            y: die.height * 0.85,
+        },
+        PinMove {
+            pin: 12,
+            x: die.width * 0.70,
+            y: die.height * 0.10,
+        },
     ];
     let moves_json: Vec<String> = moves
         .iter()
@@ -214,7 +228,11 @@ fn served_incremental_eco_matches_offline_full_forward() {
     assert!(is_ok(&reply), "moves must apply: {reply:?}");
     let served_hash = hash_of(&reply);
     assert!(
-        reply.get("recomputed_rows").and_then(JsonValue::as_u64).unwrap_or(0) > 0,
+        reply
+            .get("recomputed_rows")
+            .and_then(JsonValue::as_u64)
+            .unwrap_or(0)
+            > 0,
         "incremental update must have recomputed something: {reply:?}"
     );
 
