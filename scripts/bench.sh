@@ -2,18 +2,37 @@
 # Runs the micro-benchmark suites and collects their BENCH_*.json files
 # under results/bench/.
 #
-# Usage: scripts/bench.sh [--smoke]
+# Usage: scripts/bench.sh [--smoke] [suite ...]
 #   --smoke   shrink every benchmark to 3 samples × 2 ms (TP_BENCH_FAST)
 #             and write to a throwaway directory, for CI: verifies the
 #             harness and the JSON artifacts, not the numbers, and never
 #             touches the committed results/bench/ files.
+#   suite     run only the named suites (train, models, tensor_ops,
+#             scenarios, serve) and leave the other committed files as
+#             they are; with none, all five run. The threads1/ train
+#             baseline re-runs only when train is listed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SMOKE=0
 if [ "${1:-}" = "--smoke" ]; then
     SMOKE=1
+    shift
 fi
+ALL_SUITES=(train models tensor_ops scenarios serve)
+SUITES=("$@")
+if [ ${#SUITES[@]} = 0 ]; then
+    SUITES=("${ALL_SUITES[@]}")
+fi
+for suite in "${SUITES[@]}"; do
+    case " ${ALL_SUITES[*]} " in
+        *" $suite "*) ;;
+        *)
+            echo "bench: unknown suite '$suite' (one of: ${ALL_SUITES[*]})" >&2
+            exit 2
+            ;;
+    esac
+done
 
 if [ "$SMOKE" = 1 ]; then
     OUT_DIR="$(mktemp -d)"
@@ -54,19 +73,23 @@ export TP_THREADS="${TP_THREADS:-4}"
 export TP_SCALE="${TP_SCALE:-default}"
 export TP_PARTITION_NODES="${TP_PARTITION_NODES:-0}"
 export TP_BENCH_OUT="$OUT_DIR"
-SUITES=(train models tensor_ops scenarios serve)
+WROTE=()
 for suite in "${SUITES[@]}"; do
     echo "== bench: $suite (TP_THREADS=$TP_THREADS) =="
     run_suite "$suite"
+    WROTE+=("$OUT_DIR/BENCH_$suite.json")
 done
 
 # Single-thread baseline for the parallelized training step: re-run the
 # train suite with the pool pinned to one worker so speedup is computable
 # as threads1/BENCH_train.json ÷ BENCH_train.json medians.
-mkdir -p "$OUT_DIR/threads1"
-export TP_BENCH_OUT="$OUT_DIR/threads1"
-echo "== bench: train (TP_THREADS=1 baseline) =="
-TP_THREADS=1 run_suite train
+if [[ " ${SUITES[*]} " == *" train "* ]]; then
+    mkdir -p "$OUT_DIR/threads1"
+    export TP_BENCH_OUT="$OUT_DIR/threads1"
+    echo "== bench: train (TP_THREADS=1 baseline) =="
+    TP_THREADS=1 run_suite train
+    WROTE+=("$OUT_DIR/threads1/BENCH_train.json")
+fi
 
-echo "bench: OK — artifacts in $OUT_DIR (+ threads1/ baseline)"
-ls -l "$OUT_DIR"/BENCH_*.json "$OUT_DIR"/threads1/BENCH_*.json
+echo "bench: OK — artifacts in $OUT_DIR"
+ls -l "${WROTE[@]}"

@@ -10,11 +10,12 @@
 # - the forward's peak (read before the step) stays under
 #   TP_RSS_BUDGET_MB, default 1024 MiB: the memory contract for
 #   full-scale single-design inference on a laptop-class machine. The
-#   recorded usbf_device forward peaks around 250 MiB;
+#   recorded usbf_device forward peaks around 208 MiB (249 MiB before
+#   the net embedding computed its driver update on driver rows only);
 # - the training step's peak stays under STEP_BUDGET_MB, 2560 MiB. The
-#   recorded usbf_device step peaks around 1,800 MiB; before the lean
-#   autograd tape (backward reading live operands and freeing interior
-#   gradients) it peaked at 4,884 MiB.
+#   recorded usbf_device step peaks around 1,445 MiB (1,785 MiB before
+#   that change); before the lean autograd tape (backward reading live
+#   operands and freeing interior gradients) it peaked at 4,884 MiB.
 #
 # Usage: scripts/scale1.sh [design]
 #   env: TP_SCALE (default 1.0), TP_PARTITION_NODES (default 20000),

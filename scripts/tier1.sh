@@ -21,6 +21,11 @@ step() {
     [ -z "$STEP" ] || echo "== tier1: $STEP =="
 }
 
+step "format (cargo fmt --check)"
+# Unformatted code fails here instead of drifting until every touched
+# file carries unrelated format hunks. Fix with `cargo fmt --all`.
+cargo fmt --all --check
+
 step "release build (all targets, offline)"
 cargo build --workspace --release --offline --all-targets
 
