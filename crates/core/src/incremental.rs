@@ -1,12 +1,12 @@
 //! Incremental GNN re-prediction for ECO-style edits.
 //!
-//! Mirrors `tp_sta::IncrementalSta`: when a few pins move, the full model
-//! does not need to re-run — only the *dirty cone* does. The engine caches
-//! the intermediates of one full forward pass (net-embedding layers and
-//! their sink updates, the init projection, per-level propagation blocks,
-//! head outputs) and, on an edit, recomputes exactly the rows whose inputs
-//! changed, expanding the dirty frontier level by level and stopping
-//! wherever recomputed bits equal the cached bits.
+//! When a few pins move, the full model does not need to re-run — only the
+//! *dirty cone* does. The engine caches the intermediates of one full
+//! forward pass (net-embedding layers and their sink updates, the init
+//! projection, per-level propagation blocks, head outputs) and, on an
+//! edit, recomputes exactly the rows whose inputs changed, expanding the
+//! dirty frontier level by level and stopping wherever recomputed bits
+//! equal the cached bits.
 //!
 //! # One set of kernels
 //!

@@ -160,7 +160,7 @@ mod tests {
         let po = c.endpoints()[0];
         // pi + 5 cells (2 pins each) + po -> 11 hops from po back to pi
         assert_eq!(required_receptive_depth(&c, &t, po), 11);
-        assert_eq!(t.depth(), 11);
+        assert_eq!(t.levels().len(), 12);
     }
 
     #[test]

@@ -26,9 +26,7 @@ pub struct Topology {
     fanout_edges: Vec<EdgeRef>,
     fanin_index: Vec<u32>,
     fanin_edges: Vec<EdgeRef>,
-    level_of: Vec<u32>,
     levels: Vec<Vec<PinId>>,
-    topo_order: Vec<PinId>,
 }
 
 impl Topology {
@@ -77,15 +75,13 @@ impl Topology {
         }
 
         // Kahn's algorithm computing longest-path levels.
-        let mut level_of = vec![0u32; n];
+        let mut pin_level = vec![0u32; n];
         let mut pending = in_deg.clone();
         let mut queue: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
-        let mut topo_order: Vec<PinId> = Vec::with_capacity(n);
         let mut head = 0;
         while head < queue.len() {
             let u = queue[head];
             head += 1;
-            topo_order.push(PinId::new(u));
             let (s, e) = (fanout_index[u] as usize, fanout_index[u + 1] as usize);
             for &er in &fanout_edges[s..e] {
                 let v = match er {
@@ -93,23 +89,24 @@ impl Topology {
                     EdgeRef::Cell(id) => circuit.cell_edge(id).to,
                 }
                 .index();
-                level_of[v] = level_of[v].max(level_of[u] + 1);
+                pin_level[v] = pin_level[v].max(pin_level[u] + 1);
                 pending[v] -= 1;
                 if pending[v] == 0 {
                     queue.push(v);
                 }
             }
         }
-        if topo_order.len() != n {
+        // Every pin of an acyclic graph is popped exactly once.
+        if head != n {
             let culprit = (0..n)
                 .find(|&i| pending[i] > 0)
                 .expect("some pin must remain when a cycle exists");
             return Err(GraphError::CombinationalCycle(PinId::new(culprit)));
         }
 
-        let max_level = level_of.iter().copied().max().unwrap_or(0) as usize;
+        let max_level = pin_level.iter().copied().max().unwrap_or(0) as usize;
         let mut levels: Vec<Vec<PinId>> = vec![Vec::new(); max_level + 1];
-        for (i, &l) in level_of.iter().enumerate() {
+        for (i, &l) in pin_level.iter().enumerate() {
             levels[l as usize].push(PinId::new(i));
         }
 
@@ -119,9 +116,7 @@ impl Topology {
             fanout_edges,
             fanin_index,
             fanin_edges,
-            level_of,
             levels,
-            topo_order,
         })
     }
 
@@ -142,25 +137,10 @@ impl Topology {
         &self.fanin_edges[self.fanin_index[i] as usize..self.fanin_index[i + 1] as usize]
     }
 
-    /// Topological level of `pin` (0 for sources).
-    pub fn level(&self, pin: PinId) -> usize {
-        self.level_of[pin.index()] as usize
-    }
-
     /// Pins grouped by level, index 0 first. This is the schedule both the
     /// STA engine and the delay-propagation model walk.
     pub fn levels(&self) -> &[Vec<PinId>] {
         &self.levels
-    }
-
-    /// Maximum logic depth (number of levels − 1).
-    pub fn depth(&self) -> usize {
-        self.levels.len().saturating_sub(1)
-    }
-
-    /// All pins in one valid topological order.
-    pub fn topo_order(&self) -> &[PinId] {
-        &self.topo_order
     }
 }
 
@@ -186,34 +166,25 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Each pin's level, read off `levels()`.
+    fn pin_levels(t: &Topology) -> Vec<usize> {
+        let mut level = vec![usize::MAX; t.num_pins()];
+        for (l, pins) in t.levels().iter().enumerate() {
+            for p in pins {
+                level[p.index()] = l;
+            }
+        }
+        level
+    }
+
     #[test]
     fn diamond_levels() {
         let c = diamond();
         let t = c.topology();
-        let pi = PinId::new(0);
-        assert_eq!(t.level(pi), 0);
-        // depth: pi(0) -> i0(1) -> o0(2) -> i1(3) -> o1(4) -> i3(5) -> o3(6) -> po(7)
-        assert_eq!(t.depth(), 7);
+        assert_eq!(pin_levels(&t)[0], 0);
+        // pi(0) -> i0(1) -> o0(2) -> i1(3) -> o1(4) -> i3(5) -> o3(6) -> po(7)
+        assert_eq!(t.levels().len(), 8);
         assert_eq!(t.levels().iter().map(Vec::len).sum::<usize>(), c.num_pins());
-    }
-
-    #[test]
-    fn topo_order_respects_edges() {
-        let c = diamond();
-        let t = c.topology();
-        let pos: Vec<usize> = {
-            let mut v = vec![0; c.num_pins()];
-            for (i, p) in t.topo_order().iter().enumerate() {
-                v[p.index()] = i;
-            }
-            v
-        };
-        for e in c.net_edges() {
-            assert!(pos[e.driver.index()] < pos[e.sink.index()]);
-        }
-        for e in c.cell_edges() {
-            assert!(pos[e.from.index()] < pos[e.to.index()]);
-        }
     }
 
     #[test]
@@ -229,12 +200,12 @@ mod tests {
     #[test]
     fn levels_have_no_internal_edges() {
         let c = diamond();
-        let t = c.topology();
+        let level = pin_levels(&c.topology());
         for e in c.net_edges() {
-            assert!(t.level(e.driver) < t.level(e.sink));
+            assert!(level[e.driver.index()] < level[e.sink.index()]);
         }
         for e in c.cell_edges() {
-            assert!(t.level(e.from) < t.level(e.to));
+            assert!(level[e.from.index()] < level[e.to.index()]);
         }
     }
 }

@@ -36,15 +36,6 @@ impl Corner {
         }
     }
 
-    /// The corner from a storage index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 4`.
-    pub fn from_index(i: usize) -> Corner {
-        Corner::ALL[i]
-    }
-
     /// Whether this is an early (min-delay) corner.
     pub fn is_early(self) -> bool {
         matches!(self, Corner::EarlyRise | Corner::EarlyFall)
@@ -84,10 +75,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn index_roundtrip() {
+    fn all_is_in_storage_order() {
         for (i, c) in Corner::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
-            assert_eq!(Corner::from_index(i), *c);
         }
     }
 

@@ -88,12 +88,6 @@ pub struct Library {
 }
 
 impl Library {
-    /// Builds a library from explicit cell types (e.g. parsed from a
-    /// liberty file); `type_id`s are the positions in `cells`.
-    pub fn from_cells(cells: Vec<CellType>) -> Library {
-        Library { cells }
-    }
-
     /// The cell type for a circuit `type_id`.
     ///
     /// # Panics

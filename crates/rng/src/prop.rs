@@ -1,7 +1,7 @@
 //! A lightweight, shrink-free property-test harness.
 //!
-//! Replaces the external `proptest` dependency for this workspace's three
-//! invariant suites. The contract is intentionally small:
+//! Replaces the external `proptest` dependency for this workspace's
+//! property suites. The contract is intentionally small:
 //!
 //! - Each property runs `cases` times; case `i` receives an RNG forked from
 //!   the root seed with stream id `i`, so adding or reordering cases never
@@ -91,9 +91,10 @@ pub fn vec_index<R: Rng>(rng: &mut R, n: usize, bound: usize) -> Vec<usize> {
 
 /// Applies `count` seeded byte-level mutations to `bytes` in place: each
 /// mutation flips, overwrites, inserts, deletes or duplicates one byte at a
-/// random offset, or truncates the tail. The fuzz suites feed mutated
-/// interchange files through the parsers with this; determinism follows
-/// from the caller's forked RNG.
+/// random offset, or truncates the tail. The serve codec fuzz suite
+/// mutates request lines with this, and the fault injectors corrupt
+/// replies and checkpoint bytes with it; determinism follows from the
+/// caller's forked RNG.
 pub fn mutate_bytes<R: Rng>(rng: &mut R, bytes: &mut Vec<u8>, count: usize) {
     for _ in 0..count {
         if bytes.is_empty() {

@@ -87,23 +87,6 @@ impl Routing {
     pub fn total_wirelength(&self) -> f32 {
         self.total_wirelength
     }
-
-    /// Replaces one net's routing result (incremental re-route after an
-    /// ECO move), keeping the total wirelength consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` is out of range or the sink count changed.
-    pub fn replace_net(&mut self, net: NetId, routed: RoutedNet) {
-        let old = &self.nets[net.index()];
-        assert_eq!(
-            old.sink_delays.len(),
-            routed.sink_delays.len(),
-            "net topology must be unchanged on re-route"
-        );
-        self.total_wirelength += routed.wirelength - old.wirelength;
-        self.nets[net.index()] = routed;
-    }
 }
 
 /// Capacitance of a sink pin at each corner.
@@ -130,12 +113,7 @@ fn sink_pin_caps(
 }
 
 /// Routes a single net and evaluates its Elmore delays and loads.
-///
-/// # Panics
-///
-/// Panics if `net` is out of range for `circuit` or the circuit references
-/// cell types missing from `library`.
-pub fn route_net(
+fn route_net(
     circuit: &Circuit,
     placement: &Placement,
     library: &Library,

@@ -42,6 +42,6 @@ mod elmore;
 mod rc_tree;
 mod steiner;
 
-pub use elmore::{route_circuit, route_net, RoutedNet, Routing, RoutingConfig};
+pub use elmore::{route_circuit, RoutedNet, Routing, RoutingConfig};
 pub use rc_tree::RcTree;
 pub use steiner::{steiner_tree, SteinerTree};

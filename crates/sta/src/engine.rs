@@ -28,16 +28,6 @@ impl<'a> StaEngine<'a> {
         StaEngine { library, config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &StaConfig {
-        &self.config
-    }
-
-    /// The cell library this engine analyzes against.
-    pub fn library(&self) -> &'a Library {
-        self.library
-    }
-
     /// Routes the design and runs full timing analysis.
     ///
     /// # Panics
@@ -61,99 +51,68 @@ impl<'a> StaEngine<'a> {
         routing: &Routing,
     ) -> TimingReport {
         let n = circuit.num_pins();
-
-        // Initialize reductions: late corners accumulate max (start at
-        // -inf), early corners min (start at +inf).
-        let init_at = |c: Corner| {
-            if c.is_early() {
-                f32::INFINITY
-            } else {
-                f32::NEG_INFINITY
-            }
-        };
-        let mut at = vec![[0.0f32; 4]; n];
-        let mut slew = vec![[0.0f32; 4]; n];
-        for a in at.iter_mut() {
-            for c in Corner::ALL {
-                a[c.index()] = init_at(c);
-            }
-        }
-        for s in slew.iter_mut() {
-            for c in Corner::ALL {
-                s[c.index()] = init_at(c);
-            }
-        }
+        let cfg = &self.config;
 
         let mut net_edge_delay = vec![[0.0f32; 4]; circuit.num_net_edges()];
-        let mut cell_edge_delay = vec![[0.0f32; 4]; circuit.num_cell_edges()];
-
-        // Pre-fill net edge delays from routing.
-        for (ni, netdata) in circuit.net_ids().map(|id| (id, circuit.net(id))) {
-            let routed = routing.net(ni);
-            for (si, &eid) in netdata.edges.iter().enumerate() {
+        for net in circuit.net_ids() {
+            let routed = routing.net(net);
+            for (si, &eid) in circuit.net(net).edges.iter().enumerate() {
                 net_edge_delay[eid.index()] = routed.sink_delays[si];
             }
         }
 
         // ---- forward propagation, level by level ----
+        // Every pin sits on one level and its update overwrites its whole
+        // row (and every cell edge is in its head pin's fan-in), so these
+        // initial values are never read.
+        let mut at = vec![[0.0f32; 4]; n];
+        let mut slew = vec![[0.0f32; 4]; n];
+        let mut cell_edge_delay = vec![[0.0f32; 4]; circuit.num_cell_edges()];
         {
             let _fwd_span = tp_obs::span!("sta.forward", pins = n);
             for level in topology.levels() {
                 tp_obs::metrics::count("sta.pins_propagated", level.len() as u64);
                 // Compute every pin of the level from the immutable
                 // lower-level state, then apply in level order; the cost
-                // model decides inline-vs-fork per level.
+                // model decides inline-vs-fork per level. Cell edges
+                // feeding distinct pins are distinct, so the writes touch
+                // disjoint slots.
                 let updates =
                     tp_par::map_items_costed(&FWD_COST, level.len(), level.len() as u64, |i| {
                         self.compute_pin(circuit, topology, routing, level[i], &at, &slew)
                     });
                 for (&pin, update) in level.iter().zip(updates) {
-                    apply_update(pin, update, &mut at, &mut slew, &mut cell_edge_delay);
+                    at[pin.index()] = update.at;
+                    slew[pin.index()] = update.slew;
+                    for (eid, d) in update.cell_delays {
+                        cell_edge_delay[eid.index()] = d;
+                    }
                 }
             }
         }
 
-        self.finish_report(circuit, topology, at, slew, net_edge_delay, cell_edge_delay)
-    }
-
-    /// Runs the backward required-time sweep over precomputed forward
-    /// state and assembles the report. Shared by the full levelized run
-    /// and the incremental engine.
-    pub(crate) fn finish_report(
-        &self,
-        circuit: &Circuit,
-        topology: &Topology,
-        mut at: Vec<[f32; 4]>,
-        mut slew: Vec<[f32; 4]>,
-        net_edge_delay: Vec<[f32; 4]>,
-        cell_edge_delay: Vec<[f32; 4]>,
-    ) -> TimingReport {
-        let _bwd_span = tp_obs::span!("sta.backward", pins = circuit.num_pins());
-        let n = circuit.num_pins();
-        let cfg = &self.config;
         // ---- backward required-time propagation ----
-        let mut rat = vec![[0.0f32; 4]; n];
-        for r in rat.iter_mut() {
-            for c in Corner::ALL {
-                // late RATs min-reduce (init +inf), early RATs max-reduce.
-                r[c.index()] = if c.is_early() {
-                    f32::NEG_INFINITY
-                } else {
-                    f32::INFINITY
-                };
+        let _bwd_span = tp_obs::span!("sta.backward", pins = n);
+        // Late RATs min-reduce (init +inf), early RATs max-reduce (init
+        // -inf); endpoints start at their constraint.
+        let unconstrained = Corner::ALL.map(|c| {
+            if c.is_early() {
+                f32::NEG_INFINITY
+            } else {
+                f32::INFINITY
             }
-        }
+        });
+        let constraint = Corner::ALL.map(|c| {
+            if c.is_early() {
+                cfg.hold_time
+            } else {
+                cfg.clock_period - cfg.setup_time
+            }
+        });
+        let mut rat = vec![unconstrained; n];
         let endpoints = circuit.endpoints();
         for &ep in &endpoints {
-            for c in Corner::ALL {
-                let k = c.index();
-                let v = if c.is_early() {
-                    cfg.hold_time
-                } else {
-                    cfg.clock_period - cfg.setup_time
-                };
-                rat[ep.index()][k] = v;
-            }
+            rat[ep.index()] = constraint;
         }
         // All fanout sinks sit at strictly higher levels, so walking the
         // levels in reverse sees only finalized sink RATs — the same
@@ -174,18 +133,13 @@ impl<'a> StaEngine<'a> {
             }
         }
 
-        // Replace untouched infinities (e.g. pins with no path to an
-        // endpoint) with the pin's own arrival so their slack reads 0.
-        for i in 0..n {
-            for c in Corner::ALL {
-                let k = c.index();
-                if !rat[i][k].is_finite() {
-                    rat[i][k] = at[i][k];
-                }
-                if !at[i][k].is_finite() {
-                    at[i][k] = 0.0;
-                    slew[i][k] = cfg.input_slew;
-                }
+        // A pin no startpoint reaches still holds its infinite arrival
+        // seed; it reads arrival 0. Required times need no such step: the
+        // builder rejects dangling pins, so every pin reaches an endpoint
+        // through finite delays.
+        for a in at.iter_mut().flatten() {
+            if !a.is_finite() {
+                *a = 0.0;
             }
         }
 
@@ -214,52 +168,17 @@ static BWD_COST: tp_par::CostModel = tp_par::CostModel::new("sta.backward_level"
 /// One pin's recomputed forward state: its arrival/slew rows plus the
 /// cell-arc delays its fan-in lookup produced. Pure output of
 /// [`StaEngine::compute_pin`]; applied to the shared arrays in level order.
-pub(crate) struct PinUpdate {
+struct PinUpdate {
     at: [f32; 4],
     slew: [f32; 4],
     cell_delays: Vec<(tp_graph::CellEdgeId, [f32; 4])>,
 }
 
-/// Writes one computed update back. Cell edges feeding distinct pins are
-/// distinct, so applying a level's updates touches disjoint slots.
-pub(crate) fn apply_update(
-    pin: tp_graph::PinId,
-    update: PinUpdate,
-    at: &mut [[f32; 4]],
-    slew: &mut [[f32; 4]],
-    cell_edge_delay: &mut [[f32; 4]],
-) {
-    at[pin.index()] = update.at;
-    slew[pin.index()] = update.slew;
-    for (eid, d) in update.cell_delays {
-        cell_edge_delay[eid.index()] = d;
-    }
-}
-
 impl StaEngine<'_> {
-    /// Recomputes one pin's arrival and slew from its fan-in, resetting the
-    /// reduction state first and recording the cell-arc delays used. This
-    /// is the single-pin kernel shared by the full levelized run and the
-    /// incremental engine (compute + apply).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn propagate_pin(
-        &self,
-        circuit: &Circuit,
-        topology: &Topology,
-        routing: &Routing,
-        pin: tp_graph::PinId,
-        at: &mut [[f32; 4]],
-        slew: &mut [[f32; 4]],
-        cell_edge_delay: &mut [[f32; 4]],
-    ) {
-        let update = self.compute_pin(circuit, topology, routing, pin, at, slew);
-        apply_update(pin, update, at, slew, cell_edge_delay);
-    }
-
     /// Pure forward kernel: derives `pin`'s update from the immutable
     /// current state. Reads only fan-in pins (strictly lower levels), so
     /// every pin of a level can run concurrently against the same arrays.
-    pub(crate) fn compute_pin(
+    fn compute_pin(
         &self,
         circuit: &Circuit,
         topology: &Topology,
@@ -336,10 +255,22 @@ impl StaEngine<'_> {
                         delays[k] = d;
                         let cand_at = at[e.from.index()][src.index()] + d;
                         reduce(&mut up.at[k], cand_at, c);
-                        reduce(&mut up.slew[k], os, c);
+                        if cand_at.is_finite() {
+                            reduce(&mut up.slew[k], os, c);
+                        }
                     }
                     up.cell_delays.push((eid, delays));
                 }
+            }
+        }
+        // A pin no startpoint reaches (one fed only by zero-input cells)
+        // keeps its infinite arrival seed. It carries no transition, so a
+        // cell output takes no slew from such an input (a net sink has one
+        // driver and is unreached with it); and it presents the asserted
+        // input slew, so the arcs it feeds still look up finite delays.
+        for k in 0..4 {
+            if !up.at[k].is_finite() {
+                up.slew[k] = cfg.input_slew;
             }
         }
         up
@@ -348,7 +279,7 @@ impl StaEngine<'_> {
     /// Pure backward kernel: folds `pin`'s fanout constraints (all at
     /// strictly higher, already-final levels) into its current RAT row, in
     /// CSR fanout order — the exact fold the serial reverse sweep does.
-    pub(crate) fn compute_rat_pin(
+    fn compute_rat_pin(
         &self,
         circuit: &Circuit,
         topology: &Topology,

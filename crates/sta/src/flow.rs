@@ -27,13 +27,6 @@ pub struct FlowResult {
     pub report: TimingReport,
 }
 
-impl FlowResult {
-    /// Total flow runtime, seconds.
-    pub fn total_seconds(&self) -> f64 {
-        self.routing_seconds + self.sta_seconds
-    }
-}
-
 /// Routes `circuit` and runs STA, timing both stages.
 ///
 /// # Panics
@@ -93,7 +86,6 @@ mod tests {
         let flow = run_full_flow(&c, &p, &lib, &StaConfig::default());
         assert!(flow.routing_seconds >= 0.0);
         assert!(flow.sta_seconds >= 0.0);
-        assert!(flow.total_seconds() >= flow.routing_seconds);
         assert_eq!(flow.report.num_pins(), c.num_pins());
         assert_eq!(flow.routing.nets().len(), c.num_nets());
     }

@@ -49,12 +49,8 @@
 mod config;
 mod engine;
 pub mod flow;
-pub mod incremental;
-pub mod paths;
 mod report;
 
 pub use config::StaConfig;
 pub use engine::StaEngine;
-pub use incremental::IncrementalSta;
-pub use paths::{format_path, trace_path, worst_paths, PathStep, TimingPath};
 pub use report::TimingReport;

@@ -176,6 +176,19 @@ if [ -n "$UNREAD" ]; then
     exit 1
 fi
 
+step "README examples table lists exactly examples/*.rs"
+# Every row of README.md's "## Examples" table names a file under
+# examples/, and every examples/*.rs has a row. Adding or deleting an
+# example without its row fails here.
+TABLE_EXAMPLES=$(sed -n '/^## Examples$/,/^## /p' README.md \
+    | sed -nE 's/^\| `([A-Za-z0-9_]+)` \|.*/\1/p' | sort)
+FILE_EXAMPLES=$(for f in examples/*.rs; do f=${f#examples/}; echo "${f%.rs}"; done | sort)
+if [ "$TABLE_EXAMPLES" != "$FILE_EXAMPLES" ]; then
+    echo "tier1: FAIL — README examples table (<) and examples/*.rs (>) disagree:" >&2
+    diff <(echo "$TABLE_EXAMPLES") <(echo "$FILE_EXAMPLES") >&2 || true
+    exit 1
+fi
+
 step "bench harness smoke (scratch dir, fast samples)"
 scripts/bench.sh --smoke
 

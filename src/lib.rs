@@ -4,7 +4,6 @@ pub use tp_data as data;
 pub use tp_gen as gen;
 pub use tp_gnn as gnn;
 pub use tp_graph as graph;
-pub use tp_io as io;
 pub use tp_liberty as liberty;
 pub use tp_nn as nn;
 pub use tp_obs as obs;
