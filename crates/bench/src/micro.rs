@@ -160,9 +160,11 @@ impl Suite {
     /// names are escaped, numbers written with full precision).
     ///
     /// Delegates to [`tp_obs::export::bench_json`], the single source of
-    /// truth for the `BENCH_*.json` schema. The config echo records the
-    /// knobs every number depends on: `TP_SCALE` and `TP_PARTITION_NODES`
-    /// (effective value, env or override).
+    /// truth for the `BENCH_*.json` schema. The config echo records what
+    /// every number depends on: `TP_SCALE`, `TP_PARTITION_NODES`
+    /// (effective value, env or override) and the gemm kernel this CPU
+    /// runs ([`tp_tensor::ops::gemm_kernel`]), so rows from hosts that
+    /// dispatch differently never pass as one config.
     pub fn to_json(&self) -> String {
         let config = vec![
             (
@@ -172,6 +174,10 @@ impl Suite {
             (
                 "tp_partition_nodes".to_string(),
                 tp_partition::partition_nodes().to_string(),
+            ),
+            (
+                "gemm_kernel".to_string(),
+                tp_tensor::ops::gemm_kernel().to_string(),
             ),
         ];
         let entries: Vec<tp_obs::export::BenchEntry> = self
@@ -274,6 +280,8 @@ mod tests {
         let j = suite.to_json();
         assert!(j.contains("\"suite\": \"json\\\"test\""));
         assert!(j.contains("\"tp_partition_nodes\":"));
+        let kernel = format!("\"gemm_kernel\": \"{}\"", tp_tensor::ops::gemm_kernel());
+        assert!(j.contains(&kernel), "{j}");
         assert!(j.contains("\"name\": \"a\\\\b\""));
         assert!(j.contains("\"median_ns\": 1.5"));
     }

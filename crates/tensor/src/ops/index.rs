@@ -177,10 +177,13 @@ impl Tensor {
 
     /// Segment max: `out[s, :] = max_{i : segments[i] == s} self[i, :]`.
     ///
-    /// Empty segments yield zero. The gradient flows only to the arg-max row
-    /// of each (segment, column) pair, the first such row on a tie,
-    /// matching scatter-max semantics in graph learning frameworks. Without a tape no arg-max is kept; with
-    /// one it is stored as `u32` row ids.
+    /// Empty segments (no row has their id) yield zero. A NaN member beats
+    /// every number, so the max carries a NaN message as
+    /// [`Tensor::segment_sum`] does, and `-inf` is an ordinary member. The
+    /// gradient flows only to the arg-max row of each (segment, column)
+    /// pair, the first such row on a tie or among NaNs, matching
+    /// scatter-max semantics in graph learning frameworks. Without a tape
+    /// no arg-max is kept; with one it is stored as `u32` row ids.
     ///
     /// # Panics
     ///
@@ -201,7 +204,10 @@ impl Tensor {
             Vec::new()
         };
         let data = self.data();
-        let mut out = vec![f32::NEG_INFINITY; num_segments * d];
+        // Empty segments keep these zeros: membership, not a sentinel
+        // value, decides emptiness.
+        let mut out = vec![0.0; num_segments * d];
+        let mut seen = vec![false; num_segments];
         for (r, &s) in segments.iter().enumerate() {
             assert!(
                 s < num_segments,
@@ -209,25 +215,26 @@ impl Tensor {
             );
             let row = &data[r * d..(r + 1) * d];
             let orow = &mut out[s * d..(s + 1) * d];
-            if tape {
+            if !seen[s] {
+                seen[s] = true;
+                orow.copy_from_slice(row);
+                if tape {
+                    argmax[s * d..(s + 1) * d].fill(r as u32);
+                }
+            } else if tape {
                 let arow = &mut argmax[s * d..(s + 1) * d];
                 for ((o, a), &v) in orow.iter_mut().zip(arow).zip(row) {
-                    let gt = v > *o;
-                    *o = if gt { v } else { *o };
-                    *a = if gt { r as u32 } else { *a };
+                    let take = beats(v, *o);
+                    *o = if take { v } else { *o };
+                    *a = if take { r as u32 } else { *a };
                 }
             } else {
                 for (o, &v) in orow.iter_mut().zip(row) {
-                    *o = if v > *o { v } else { *o };
+                    *o = if beats(v, *o) { v } else { *o };
                 }
             }
         }
         drop(data);
-        for v in out.iter_mut() {
-            if *v == f32::NEG_INFINITY {
-                *v = 0.0; // empty segment
-            }
-        }
         if !tape {
             return Tensor::leaf(out, Shape::new(&[num_segments, d]));
         }
@@ -287,6 +294,14 @@ impl Tensor {
     }
 }
 
+/// Whether a later member `v` of a segment replaces its running max `o`:
+/// a larger number does, and a NaN replaces any number, so a NaN is never
+/// replaced and the first NaN wins as the first maximal row wins a tie.
+#[inline(always)]
+fn beats(v: f32, o: f32) -> bool {
+    (v > o) | (v.is_nan() & !o.is_nan())
+}
+
 #[cfg(test)]
 mod tests {
     use crate::Tensor;
@@ -340,6 +355,33 @@ mod tests {
         let x = m(&[-3., -7.], &[2, 1]);
         let y = x.segment_max(&[1, 1], 3);
         assert_eq!(y.to_vec(), vec![0., -3., 0.]);
+    }
+
+    #[test]
+    fn segment_max_of_a_lone_neg_infinity_is_neg_infinity() {
+        // Seeding with -inf and mapping a leftover -inf to "empty" read 0
+        // here and sent the row no gradient.
+        let x = m(&[f32::NEG_INFINITY, 2.0, f32::NEG_INFINITY, 3.0], &[4, 1]).with_grad();
+        let y = x.segment_max(&[0, 1, 2, 2], 4);
+        assert_eq!(y.to_vec(), vec![f32::NEG_INFINITY, 2., 3., 0.]);
+        y.mul(&m(&[5., 6., 7., 8.], &[4, 1])).sum().backward();
+        assert_eq!(x.grad().unwrap(), vec![5., 6., 0., 7.]);
+    }
+
+    #[test]
+    fn segment_max_lets_the_first_nan_win() {
+        // Two NaNs told apart by their payloads.
+        let (nan_a, nan_b) = (f32::from_bits(0x7fc0_0001), f32::from_bits(0x7fc0_0002));
+        let x = m(&[nan_a, nan_b, 1., nan_b, 5., nan_a], &[6, 1]).with_grad();
+        let segments = [0, 0, 1, 1, 1, 1];
+        let untaped = crate::no_grad(|| x.segment_max(&segments, 2));
+        let y = x.segment_max(&segments, 2);
+        for out in [&untaped, &y] {
+            let bits: Vec<u32> = out.to_vec().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, vec![nan_a.to_bits(), nan_b.to_bits()]);
+        }
+        y.mul(&m(&[2., 3.], &[2, 1])).sum().backward();
+        assert_eq!(x.grad().unwrap(), vec![2., 0., 0., 3., 0., 0.]);
     }
 
     #[test]

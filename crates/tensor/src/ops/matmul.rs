@@ -1,7 +1,7 @@
 //! Dense matrix multiplication and the fused dense layer.
 
 use super::elementwise::bias_grad;
-use super::gemm::gemm;
+use super::gemm::{gemm, Epilogue};
 use crate::tensor::{BackwardFn, Saved};
 use crate::{Shape, Tensor};
 
@@ -22,13 +22,13 @@ fn matmul_backward(g: &[f32], lhs: &Saved, rhs: &Saved, (m, k, n): (usize, usize
     if lhs.tensor.requires_grad() {
         let bt = transpose(&rhs.read(), k, n);
         let mut ga = vec![0.0; m * k];
-        gemm(g, &bt, m, n, k, &mut ga);
+        gemm(g, &bt, m, n, k, &mut ga, Epilogue::default());
         lhs.tensor.accumulate_grad(ga);
     }
     if rhs.tensor.requires_grad() {
         let at = transpose(&lhs.read(), m, k);
         let mut gb = vec![0.0; k * n];
-        gemm(&at, g, k, m, n, &mut gb);
+        gemm(&at, g, k, m, n, &mut gb, Epilogue::default());
         rhs.tensor.accumulate_grad(gb);
     }
 }
@@ -64,7 +64,15 @@ impl Tensor {
         );
         let (lhs_s, rhs_s) = (self.save(), rhs.save());
         let mut out = vec![0.0; m * n];
-        gemm(&self.data(), &rhs.data(), m, k, n, &mut out);
+        gemm(
+            &self.data(),
+            &rhs.data(),
+            m,
+            k,
+            n,
+            &mut out,
+            Epilogue::default(),
+        );
         let backward: BackwardFn = Box::new(move |g: &[f32], _| {
             matmul_backward(g, &lhs_s, &rhs_s, (m, k, n));
         });
@@ -115,7 +123,8 @@ impl Tensor {
 
     /// The fused dense op. Each output element goes through the float ops
     /// of `matmul → add → relu` in the same order: the gemm sum, `+ b[j]`,
-    /// then `max(0.0)`. The backward masks the incoming gradient with
+    /// then `max(0.0)`, all in the gemm's one pass over the output. The
+    /// backward masks the incoming gradient with
     /// `g · [y > 0]` on the op's own output `y` (the relu backward's exact
     /// product; `y > 0` iff its input was), sums the bias gradient as `add`
     /// does, and hands the masked gradient to matmul's backward, which
@@ -138,20 +147,13 @@ impl Tensor {
         );
         let (x, w) = (self.save(), weight.save());
         let mut out = vec![0.0; m * n];
-        gemm(&self.data(), &weight.data(), m, k, n, &mut out);
-        if n > 0 {
-            let bd = bias.data();
-            for row in out.chunks_exact_mut(n) {
-                for (o, &bv) in row.iter_mut().zip(bd.iter()) {
-                    *o += bv;
-                }
-                if relu {
-                    for o in row.iter_mut() {
-                        *o = o.max(0.0);
-                    }
-                }
-            }
-        }
+        let bd = bias.data();
+        let epi = Epilogue {
+            bias: Some(&bd),
+            relu,
+        };
+        gemm(&self.data(), &weight.data(), m, k, n, &mut out, epi);
+        drop(bd);
         let b = bias.clone();
         let backward: BackwardFn = Box::new(move |g: &[f32], y: &[f32]| {
             let masked: Vec<f32>;
@@ -291,9 +293,11 @@ mod tests {
             64,
             |rng| {
                 let (m, m2) = (rng.gen_range(1..10usize), rng.gen_range(1..6usize));
-                let (k, h) = (rng.gen_range(1..12usize), rng.gen_range(1..20usize));
+                // Widths up to 72 reach every mix of the gemm's 32-, 16- and
+                // 8-column panels and its column tails.
+                let (k, h) = (rng.gen_range(1..12usize), rng.gen_range(1..73usize));
                 // n = 1 takes `add`'s scalar-broadcast path for the bias.
-                let n = rng.gen_range(1..10usize);
+                let n = rng.gen_range(1..73usize);
                 let relu = rng.gen_range(0..2u32) == 0;
                 let x = values(rng, &[m, k]).with_grad();
                 let x2 = values(rng, &[m2, k]).with_grad();
@@ -303,6 +307,21 @@ mod tests {
                     values(rng, &[h, n]).with_grad(),
                     values(rng, &[n]).with_grad(),
                 ];
+                // A quarter of the cases make row 0 of the shared first
+                // layer's weight +inf and zero column 0 of some input rows:
+                // those rows take the gemm's reference fallback (which
+                // skips 0·inf), and the bias and the ReLU must come after
+                // it; the other rows stay non-finite.
+                if rng.gen_range(0..4u32) == 0 {
+                    params[0].data_mut()[..h].fill(f32::INFINITY);
+                    for t in [&x, &x2] {
+                        for row in t.data_mut().chunks_exact_mut(k) {
+                            if rng.gen_range(0..2u32) == 0 {
+                                row[0] = 0.0;
+                            }
+                        }
+                    }
+                }
                 let (wy, wz) = (values(rng, &[m, n]), values(rng, &[m2, h]));
                 let leaves = [&x, &x2, &params[0], &params[1], &params[2], &params[3]];
                 let run = |fused: bool| {

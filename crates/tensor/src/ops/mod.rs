@@ -5,7 +5,8 @@
 //!
 //! - [`elementwise`] — add/sub/mul, scalar variants, ReLU, pointwise math,
 //! - [`matmul`] — dense matrix multiplication and the fused dense layer
-//!   (`linear`, `linear_relu`),
+//!   (`linear`, `linear_relu`); [`gemm_kernel`] names the gemm kernel
+//!   under them,
 //! - [`reduce`] — sum/mean over all elements or along an axis,
 //! - [`index`] — row gathering and segment (scatter) reductions,
 //! - [`shapeops`] — reshape, concatenation, column slicing, row-wise outer
@@ -17,3 +18,5 @@ pub mod index;
 pub mod matmul;
 pub mod reduce;
 pub mod shapeops;
+
+pub use gemm::gemm_kernel;

@@ -352,17 +352,22 @@ fn segment_max_matches_naive() {
         let segs = prop::vec_index(rng, 6, 3);
         let x = Tensor::from_vec(v.clone(), &[6, 2]).unwrap();
         let y = x.segment_max(&segs, 3);
-        let mut expect = vec![f32::NEG_INFINITY; 6];
+        // `None` until a member arrives; a NaN member wins, the first one
+        // on several, and an empty segment reads 0.
+        let mut expect: Vec<Option<f32>> = vec![None; 6];
         for (r, &s) in segs.iter().enumerate() {
             for j in 0..2 {
-                expect[s * 2 + j] = expect[s * 2 + j].max(v[r * 2 + j]);
+                let v = v[r * 2 + j];
+                let e = &mut expect[s * 2 + j];
+                *e = Some(match *e {
+                    None => v,
+                    Some(max) if max.is_nan() => max,
+                    Some(max) if v.is_nan() || v > max => v,
+                    Some(max) => max,
+                });
             }
         }
-        for e in expect.iter_mut() {
-            if *e == f32::NEG_INFINITY {
-                *e = 0.0;
-            }
-        }
+        let expect: Vec<f32> = expect.into_iter().map(|e| e.unwrap_or(0.0)).collect();
         let got = y.to_vec();
         for (g, e) in got.iter().zip(&expect) {
             assert!((g - e).abs() < 1e-4);

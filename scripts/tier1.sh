@@ -42,9 +42,10 @@ step "tests (offline, 4-thread pool)"
 TP_THREADS=4 cargo test -q --workspace --offline
 
 step "tp-tensor tests under the optimizer (release)"
-# The gemm microkernel is register-blocked AVX2 code whose bit identity
-# with the straight reference kernel must hold as the optimizer compiles
-# it, not only in debug builds.
+# The gemm's register-blocked body is compiled twice, under AVX-512F and
+# under AVX2; each kernel the CPU supports must match the straight
+# reference kernel bit for bit as the optimizer compiles it, not only in
+# debug builds.
 cargo test -q --release --offline -p tp-tensor
 
 step "partitioned training smoke (TP_SCALE=0.05 example)"
@@ -137,10 +138,15 @@ if sed -n '/^\[dependencies\]/,$p' crates/partition/Cargo.toml \
     exit 1
 fi
 
-step "gemm stays FMA-free (no fma target feature, no _fmadd intrinsic)"
+step "gemm stays FMA-free (no fma target feature, _fmadd intrinsic or mul_add)"
 # Every gemm element is multiply-then-add in ascending k; a fused
 # multiply-add rounds once instead of twice and would change result bits.
-if grep -rnE 'target_feature.*fma|_fmadd' crates/tensor/src; then
+# This grep cannot see all of it: `avx512f` implies LLVM's `fma` feature,
+# so the AVX-512 kernel could emit FMA instructions without naming `fma`
+# anywhere. It stays FMA-free only because Rust never contracts
+# `a * b + c` into one; the per-kernel test
+# `every_supported_kernel_is_bit_identical_to_reference` is what checks it.
+if grep -rnE 'target_feature.*fma|_fmadd|\bmul_add\b' crates/tensor/src; then
     echo "tier1: FAIL — FMA in tp-tensor above; the gemm must multiply then add" >&2
     exit 1
 fi
