@@ -8,6 +8,7 @@ use tp_data::{Dataset, DatasetConfig, DesignGraph};
 use tp_gen::GeneratorConfig;
 use tp_gnn::{LutModule, ModelConfig, NetEmbed, PropPlan, TimingGnn};
 use tp_liberty::Library;
+use tp_nn::Module;
 use tp_rng::StdRng;
 use tp_tensor::Tensor;
 
@@ -60,6 +61,15 @@ fn bench_lut_module(suite: &mut Suite, d: &DesignGraph) {
     let ef = d.cell_edge_features.gather_rows(&idx);
     let x = Tensor::ones(&[e, 20]);
     suite.bench(&format!("lut_interp/{e}_arcs"), || lut.forward(&x, &ef));
+    // The training step's use: a taped forward, then its backward into the
+    // coefficient MLPs.
+    let params = lut.parameters();
+    suite.bench(&format!("lut_interp/{e}_arcs/fwd_bwd"), || {
+        let loss = lut.forward(&x, &ef).sum();
+        params.iter().for_each(Tensor::zero_grad);
+        loss.backward();
+        loss.item()
+    });
 }
 
 fn main() {

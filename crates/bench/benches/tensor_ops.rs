@@ -33,6 +33,24 @@ fn bench_dense(suite: &mut Suite) {
     suite.bench("dense/71718x64x8", || x.linear(&w, &b));
 }
 
+/// The weight gradient `xᵀ·g` of `x·W`, alone on the tape: `x` carries
+/// no gradient, so a backward of `sum(x·W)` runs the sum's backward and
+/// the weight-gradient gemm, which reads `x` in place. Shapes: a 64→64
+/// layer over every pin of usbf_device at paper scale, and a 32→32 layer
+/// over a batch the size of a `train_epoch` design's larger groups.
+fn bench_weight_grad(suite: &mut Suite) {
+    let mut rng = StdRng::seed_from_u64(4);
+    for (m, k, n) in [(46_631usize, 64usize, 64usize), (4_096, 32, 32)] {
+        let x = Tensor::randn(&[m, k], 0.0, 1.0, &mut rng);
+        let w = Tensor::randn(&[k, n], 0.0, 0.1, &mut rng).with_grad();
+        let loss = x.matmul(&w).sum();
+        suite.bench(&format!("weight_grad/{m}x{k}x{n}"), || {
+            w.zero_grad();
+            loss.backward();
+        });
+    }
+}
+
 fn bench_segment_ops(suite: &mut Suite) {
     let mut rng = StdRng::seed_from_u64(1);
     let e = 20_000;
@@ -64,6 +82,7 @@ fn main() {
     let mut suite = Suite::new("tensor_ops");
     bench_matmul(&mut suite);
     bench_dense(&mut suite);
+    bench_weight_grad(&mut suite);
     bench_segment_ops(&mut suite);
     bench_backward(&mut suite);
     suite.finish();

@@ -19,6 +19,8 @@ const IDX_PER_LUT: usize = 14;
 const VALS_PER_LUT: usize = 49;
 const IDX_BASE: usize = VALID_FLAGS;
 const VAL_BASE: usize = VALID_FLAGS + 8 * IDX_PER_LUT;
+// The 8 value tables run to the end of the row, as `lut_interp` reads them.
+const _: () = assert!(VAL_BASE + 8 * VALS_PER_LUT == CELL_EDGE_FEATURES);
 
 /// The learned LUT-interpolation module.
 #[derive(Debug, Clone)]
@@ -63,15 +65,7 @@ impl LutModule {
         let cond = Tensor::concat_cols(&[src_state, &indices, &flags]);
         let cs = self.coef_slew.forward(&cond); // [E, 7]
         let cl = self.coef_load.forward(&cond); // [E, 7]
-        let kron = cs.outer_flatten(&cl); // [E, 49]
-
-        let mut outputs: Vec<Tensor> = Vec::with_capacity(8);
-        for lut in 0..8 {
-            let vals = edge_features.narrow_cols(VAL_BASE + lut * VALS_PER_LUT, VALS_PER_LUT);
-            outputs.push(kron.mul(&vals).sum_axis1().unsqueeze1()); // [E, 1]
-        }
-        let refs: Vec<&Tensor> = outputs.iter().collect();
-        Tensor::concat_cols(&refs)
+        cs.lut_interp(&cl, edge_features, VAL_BASE) // [E, 8]
     }
 }
 

@@ -1,6 +1,6 @@
 use std::fmt;
 
-/// Error type for fallible tensor construction and reshaping.
+/// Error type for fallible tensor construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TensorError {
@@ -10,13 +10,6 @@ pub enum TensorError {
         expected: usize,
         /// Number of elements actually provided.
         actual: usize,
-    },
-    /// A reshape was requested to a shape with a different element count.
-    ReshapeMismatch {
-        /// Element count of the source tensor.
-        from: usize,
-        /// Element count implied by the requested shape.
-        to: usize,
     },
     /// An empty shape (rank 0 with no data) was provided where one is invalid.
     EmptyShape,
@@ -29,9 +22,6 @@ impl fmt::Display for TensorError {
                 f,
                 "shape expects {expected} elements but {actual} were provided"
             ),
-            TensorError::ReshapeMismatch { from, to } => {
-                write!(f, "cannot reshape tensor of {from} elements into {to}")
-            }
             TensorError::EmptyShape => write!(f, "shape must have at least one dimension"),
         }
     }

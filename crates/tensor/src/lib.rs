@@ -27,8 +27,9 @@
 //! - [`Tensor::gather_rows`] — indexed row selection (message construction),
 //! - [`Tensor::segment_sum`] / [`Tensor::segment_max`] — the two reduction
 //!   channels used by the net-embedding and propagation layers,
-//! - [`Tensor::outer_flatten`] — the row-wise Kronecker product used by the
-//!   learned LUT-interpolation module.
+//! - [`Tensor::lut_interp`] — the learned LUT interpolation: the row-wise
+//!   Kronecker product of the per-axis coefficients, dotted with each
+//!   lookup table, as one tape node.
 //!
 //! # Example
 //!

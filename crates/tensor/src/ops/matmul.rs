@@ -1,7 +1,7 @@
 //! Dense matrix multiplication and the fused dense layer.
 
 use super::elementwise::bias_grad;
-use super::gemm::{gemm, Epilogue};
+use super::gemm::{gemm, gemm_tn, Epilogue};
 use crate::tensor::{BackwardFn, Saved};
 use crate::{Shape, Tensor};
 
@@ -16,8 +16,9 @@ fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 }
 
 /// Accumulates the gradients of `y = lhs·rhs` (`[m, k] × [k, n]`) from
-/// `g = dL/dy`, reading the operands live: `dL/dlhs = g·rhsᵀ`, then
-/// `dL/drhs = lhsᵀ·g`.
+/// `g = dL/dy`, reading the operands live: `dL/dlhs = g·rhsᵀ` over a
+/// transposed copy of the (small) weight, then `dL/drhs = lhsᵀ·g` reading
+/// `lhs` in place.
 fn matmul_backward(g: &[f32], lhs: &Saved, rhs: &Saved, (m, k, n): (usize, usize, usize)) {
     if lhs.tensor.requires_grad() {
         let bt = transpose(&rhs.read(), k, n);
@@ -26,9 +27,8 @@ fn matmul_backward(g: &[f32], lhs: &Saved, rhs: &Saved, (m, k, n): (usize, usize
         lhs.tensor.accumulate_grad(ga);
     }
     if rhs.tensor.requires_grad() {
-        let at = transpose(&lhs.read(), m, k);
         let mut gb = vec![0.0; k * n];
-        gemm(&at, g, k, m, n, &mut gb, Epilogue::default());
+        gemm_tn(&lhs.read(), g, m, k, n, &mut gb);
         rhs.tensor.accumulate_grad(gb);
     }
 }
@@ -349,6 +349,36 @@ mod tests {
                 assert_eq!(run(false), run(true), "{m}x{k}x{h}x{n} relu={relu}");
             },
         );
+    }
+
+    #[test]
+    fn weight_gradient_across_row_panels_is_the_straight_sum() {
+        // 165 rows span three of the weight-gradient gemm's 64-row panels,
+        // the last one ragged, so its sums carry from panel to panel.
+        let (m, k, n) = (165, 9, 21);
+        let mut rng = StdRng::seed_from_u64(11);
+        let x = values(&mut rng, &[m, k]);
+        let w = values(&mut rng, &[k, n]).with_grad();
+        let b = values(&mut rng, &[n]);
+        let g = values(&mut rng, &[m, n]);
+        // dL/dW = xᵀ·g with L = sum(y ⊙ g): each sum from +0.0, rows
+        // ascending, zero terms skipped, as the reference kernel adds.
+        let (xd, gd) = (x.to_vec(), g.to_vec());
+        let mut want = vec![0.0f32; k * n];
+        for (xrow, grow) in xd.chunks_exact(k).zip(gd.chunks_exact(n)) {
+            for (&xv, wrow) in xrow.iter().zip(want.chunks_exact_mut(n)) {
+                if xv != 0.0 {
+                    for (o, &gv) in wrow.iter_mut().zip(grow) {
+                        *o += xv * gv;
+                    }
+                }
+            }
+        }
+        for (name, y) in [("matmul", x.matmul(&w)), ("linear", x.linear(&w, &b))] {
+            w.zero_grad();
+            y.mul(&g).sum().backward();
+            assert_eq!(bits(&w.grad().unwrap()), bits(&want), "{name}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Reductions: sum/mean over all elements or along an axis of a matrix.
+//! Reductions: sum/mean over all elements and the mean-squared error.
 
 use crate::tensor::BackwardFn;
 use crate::{Shape, Tensor};
@@ -21,33 +21,6 @@ impl Tensor {
     pub fn mean(&self) -> Tensor {
         let n = self.numel() as f32;
         self.sum().mul_scalar(1.0 / n)
-    }
-
-    /// Sum along axis 1 of a matrix: `[N, D] → [N]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank 2.
-    pub fn sum_axis1(&self) -> Tensor {
-        let (n, d) = self.shape_obj().as_2d();
-        let data = self.data();
-        let out: Vec<f32> = (0..n)
-            .map(|i| data[i * d..(i + 1) * d].iter().sum())
-            .collect();
-        drop(data);
-        let src = self.clone();
-        let backward: BackwardFn = Box::new(move |g: &[f32], _| {
-            if src.requires_grad() {
-                let mut gs = vec![0.0; n * d];
-                for i in 0..n {
-                    for j in 0..d {
-                        gs[i * d + j] = g[i];
-                    }
-                }
-                src.accumulate_grad(gs);
-            }
-        });
-        Tensor::from_op(out, Shape::new(&[n]), vec![self.clone()], backward)
     }
 
     /// Mean-squared-error against `target` (which carries no gradient
@@ -89,17 +62,6 @@ mod tests {
         let a = Tensor::zeros(&[4]).with_grad();
         a.mean().backward();
         assert_eq!(a.grad().unwrap(), vec![0.25; 4]);
-    }
-
-    #[test]
-    fn sum_axis1_values_and_grad() {
-        let a = Tensor::from_vec(vec![1., 2., 3., 4., 5., 6.], &[2, 3])
-            .unwrap()
-            .with_grad();
-        let y = a.sum_axis1();
-        assert_eq!(y.to_vec(), vec![6.0, 15.0]);
-        y.mul(&Tensor::from_slice(&[1.0, 10.0])).sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![1., 1., 1., 10., 10., 10.]);
     }
 
     #[test]

@@ -265,7 +265,7 @@ impl Tensor {
     ///
     /// Every call bumps the tensor's version. The backward of an op that
     /// reads this tensor as an operand (`linear`, `matmul`, `mul`,
-    /// `outer_flatten`, the unary ops) reads it live rather than from a
+    /// `lut_interp`, the unary ops) reads it live rather than from a
     /// copy, so a write between that op's forward and
     /// [`Tensor::backward`] makes the backward panic instead of
     /// differentiating the new data.

@@ -187,17 +187,22 @@ fn grad_concat_and_narrow() {
 }
 
 #[test]
-fn grad_outer_flatten() {
-    prop::check("grad_outer_flatten", CASES, |rng| {
-        let w = Tensor::from_vec(vec![1.0, -0.5, 0.25, 2.0], &[2, 2]).unwrap();
-        check_op(vals(rng, 4), &[2, 2], move |x| x.outer_flatten(&w).sum());
-    });
-}
-
-#[test]
-fn grad_sum_axis1() {
-    prop::check("grad_sum_axis1", CASES, |rng| {
-        check_op(vals(rng, 6), &[2, 3], |x| x.sum_axis1().square().sum());
+fn grad_lut_interp() {
+    // Two rows of 2×3 coefficients and two tables after one leading
+    // column: the gradient of each coefficient operand in turn, the other
+    // held fixed.
+    prop::check("grad_lut_interp", CASES, |rng| {
+        let tables = tensor(vals(rng, 2 * 13), &[2, 13]);
+        let w = tensor(vals(rng, 4), &[2, 2]);
+        let cl = tensor(vals(rng, 6), &[2, 3]);
+        let (t, wc) = (tables.clone(), w.clone());
+        check_op(vals(rng, 4), &[2, 2], move |cs| {
+            weighted_square(&cs.lut_interp(&cl, &t, 1), &wc)
+        });
+        let cs = tensor(vals(rng, 4), &[2, 2]);
+        check_op(vals(rng, 6), &[2, 3], move |cl| {
+            weighted_square(&cs.lut_interp(cl, &tables, 1), &w)
+        });
     });
 }
 

@@ -7,9 +7,10 @@
 //! There is one forward path; the budget changes neither the ops nor the
 //! memory held. Writes `run_report.json` to the working directory. The
 //! manifest's `peak_rss_bytes` is the VmHWM after the forward, read before
-//! the step runs; `step_peak_rss_bytes` is the VmHWM after the step and
-//! `step_s` its wall clock. The calling script asserts both peaks against
-//! documented budgets.
+//! the step runs; `step_peak_rss_bytes` is the VmHWM after the step.
+//! `forward_s` and `step_s` are the wall clocks of the forward alone and
+//! of the step. The calling script asserts both peaks against documented
+//! budgets and prints both times.
 //!
 //! Run with: `TP_PARTITION_NODES=20000 cargo run --release --example
 //! scale1_smoke [design] [scale]`.
@@ -85,7 +86,9 @@ fn main() {
         TimingGnn::new(&ModelConfig::paper()),
         TrainConfig::default(),
     );
+    let forward_start = std::time::Instant::now();
     let pred = trainer.predict(&design);
+    let forward_s = forward_start.elapsed().as_secs_f64();
 
     let wall_ns = wall.elapsed().as_nanos() as u64;
     obs::disable();
@@ -109,6 +112,7 @@ fn main() {
         .config("num_pins", design.num_pins);
     report
         .section("step_peak_rss_bytes", step_peak.to_string())
+        .section("forward_s", format!("{forward_s:.3}"))
         .section("step_s", format!("{step_s:.3}"));
     report
         .write(std::path::Path::new("run_report.json"))
@@ -120,7 +124,7 @@ fn main() {
         design.endpoints.len()
     );
     println!(
-        "scale1: wall {:.2}s, peak RSS {:.1} MiB (budget: {} nodes/chunk)",
+        "scale1: wall {:.2}s (forward {forward_s:.2}s), peak RSS {:.1} MiB (budget: {} nodes/chunk)",
         wall_ns as f64 / 1e9,
         report.peak_rss_bytes as f64 / (1024.0 * 1024.0),
         budget

@@ -13,9 +13,12 @@
 #   recorded usbf_device forward peaks around 208 MiB (249 MiB before
 #   the net embedding computed its driver update on driver rows only);
 # - the training step's peak stays under STEP_BUDGET_MB, 2560 MiB. The
-#   recorded usbf_device step peaks around 1,445 MiB (1,785 MiB before
-#   that change); before the lean autograd tape (backward reading live
-#   operands and freeing interior gradients) it peaked at 4,884 MiB.
+#   recorded usbf_device step peaks around 1,371 MiB (1,445 MiB before
+#   the weight gradient read x in place and the LUT interpolation became
+#   one op, 1,785 MiB before the driver-row change); before the lean
+#   autograd tape (backward reading live operands and freeing interior
+#   gradients) it peaked at 4,884 MiB.
+# It prints the forward's and the step's wall clocks from the manifest.
 #
 # Usage: scripts/scale1.sh [design]
 #   env: TP_SCALE (default 1.0), TP_PARTITION_NODES (default 20000),
@@ -44,6 +47,14 @@ if [ ! -s "$MANIFEST" ]; then
     echo "scale1: FAIL — run wrote no run_report.json manifest" >&2
     exit 1
 fi
+
+FORWARD_S="$(sed -n 's/.*"forward_s": \([0-9.]*\).*/\1/p' "$MANIFEST")"
+STEP_S="$(sed -n 's/.*"step_s": \([0-9.]*\).*/\1/p' "$MANIFEST")"
+if [ -z "$FORWARD_S" ] || [ -z "$STEP_S" ]; then
+    echo "scale1: FAIL — manifest has no forward_s or step_s field" >&2
+    exit 1
+fi
+echo "== scale1: forward ${FORWARD_S} s, training step ${STEP_S} s =="
 
 RSS_BYTES="$(sed -n 's/.*"peak_rss_bytes": \([0-9]*\).*/\1/p' "$MANIFEST")"
 if [ -z "$RSS_BYTES" ]; then

@@ -43,16 +43,24 @@ TP_THREADS=4 cargo test -q --workspace --offline
 
 step "tp-tensor tests under the optimizer (release)"
 # The gemm's register-blocked body is compiled twice, under AVX-512F and
-# under AVX2; each kernel the CPU supports must match the straight
-# reference kernel bit for bit as the optimizer compiles it, not only in
-# debug builds.
+# under AVX2, and serves both the dense gemm and the weight-gradient
+# gemm_tn, which reads x in place across row panels; each kernel the CPU
+# supports must match the straight reference kernel bit for bit, in both
+# uses, as the optimizer compiles it, not only in debug builds.
 cargo test -q --release --offline -p tp-tensor
+
+step "recorded training trajectory under the optimizer (release)"
+# perfbench and scale1.sh run release builds, and the tensor kernels'
+# loops are the kind LLVM vectorizes: the recorded losses, weights,
+# gradients and prediction must keep their bits as the optimizer
+# compiles the training step, not only in the debug test passes above.
+cargo test -q --release --offline --test determinism training_bits_match_the_recorded_trajectory
 
 step "partitioned training smoke (TP_SCALE=0.05 example)"
 # The training example under a partition budget: the whole fit must
-# complete and reach a finite loss. Besides the tiny one-epoch run of the
-# observability-artifact check below, this is tier-1's only release-mode
-# training run.
+# complete and reach a finite loss. Besides the recorded trajectory above
+# and the tiny one-epoch run of the observability-artifact check below,
+# this is tier-1's only release-mode training run.
 if ! TP_PARTITION_NODES=4096 \
     cargo run -q --offline --release --example train_slack 0.05 2 >/dev/null; then
     echo "tier1: FAIL — partitioned training smoke did not complete" >&2
